@@ -12,7 +12,6 @@ from .exact_poly import (
     RationalPolynomial,
     char_poly_exact,
     poly_divide_exact,
-    poly_eval,
     refine_real_roots,
 )
 from .masses import (
@@ -104,7 +103,6 @@ __all__ = [
     "perron_components",
     "perron_vector",
     "poly_divide_exact",
-    "poly_eval",
     "radical_identity_suite",
     "recover_exponents",
     "refine_real_roots",

@@ -1,5 +1,10 @@
 """Command line interface: spectra, verification suites, and algebra data.
 
+The commands only parse arguments and lay out results: the checks behind
+``verify`` live in :mod:`toda_spectrum.verify`, and every command hands one
+:class:`Output` (a JSON object, CSV rows and table lines) to :func:`_write`,
+which prints the form ``--format`` asks for.
+
 Exit codes form a stable contract: 0 for success (all checks passed), 1 for a
 verification failure, 2 for usage errors. Data goes to stdout, diagnostics to
 stderr; identical invocations print identical bytes. Set NO_COLOR to strip the
@@ -9,38 +14,63 @@ little ANSI styling the verify tables use on terminals.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import click
 
-from . import classical
-from .exact_poly import RationalMatrix, char_poly_exact, poly_divide_exact
+from . import verify as suites
+from .exact_poly import RationalPolynomial
 from .masses import (
-    E8,
-    E8_MASS_QUARTICS,
-    E8_PERRON_REFERENCE_4DP,
     GOLDEN_RATIO,
     Spectrum,
+    adjacency_char_poly,
     adjacency_eigen,
-    e8_identity_suite,
     mass_char_poly,
     mass_ratio_spread,
-    perron_components,
     spectrum_method1,
     spectrum_method2,
 )
-from .radicals import radical_identity_suite
-from .report import CheckReport, CheckResult, check, check_exact
-from .root_systems import AlgebraId, InvalidAlgebraError, dynkin_adjacency, root_system
+from .root_systems import AlgebraId, InvalidAlgebraError, RootSystem, root_system
 from .spectral import recover_exponents
 
-ADJACENCY_CHARPOLY_E8 = "x^8 - 7x^6 + 14x^4 - 8x^2 + 1"
-MASS_CHARPOLY_E8 = (
-    "x^8 - 60x^7 + 1440x^6 - 18000x^5 + 127440x^4 - 518400x^3"
-    " + 1166400x^2 - 1296000x + 518400"
+
+class Output(NamedTuple):
+    """One result in every format: JSON object, CSV rows under an optional header, table lines."""
+
+    data: dict
+    header: list | None
+    rows: list
+    lines: list[str]
+    indent: int | None = None
+
+
+def _write(out: Output, fmt: str) -> None:
+    if fmt == "json":
+        click.echo(json.dumps(out.data, indent=out.indent, sort_keys=True))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        if out.header:
+            writer.writerow(out.header)
+        writer.writerows(out.rows)
+        click.echo(buf.getvalue(), nl=False)
+    else:
+        for line in out.lines:
+            click.echo(line)
+
+
+_format_option = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["table", "json", "csv"]),
+    default="table",
+    show_default=True,
 )
 
 
@@ -55,14 +85,10 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _use_color() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-
-
 def _status(passed: bool) -> str:
     text = "PASS" if passed else "FAIL"
-    if _use_color():
-        return f"\033[92m{text}\033[0m" if passed else f"\033[91m{text}\033[0m"
+    if sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
+        return f"\033[{92 if passed else 91}m{text}\033[0m"
     return text
 
 
@@ -79,15 +105,13 @@ def main() -> None:
 
 def _ratio_rows(spec: Spectrum, tolerance: float) -> list[dict]:
     rows = []
-    n = len(spec.masses)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = spec.masses[j] / spec.masses[i]
-            golden = (
-                min(abs(value - GOLDEN_RATIO), abs(1.0 / value - GOLDEN_RATIO))
-                <= tolerance * GOLDEN_RATIO
-            )
-            rows.append({"a": i + 1, "b": j + 1, "value": value, "golden": golden})
+    for i, j in itertools.combinations(range(len(spec.masses)), 2):
+        value = spec.masses[j] / spec.masses[i]
+        golden = (
+            min(abs(value - GOLDEN_RATIO), abs(1.0 / value - GOLDEN_RATIO))
+            <= tolerance * GOLDEN_RATIO
+        )
+        rows.append({"a": i + 1, "b": j + 1, "value": value, "golden": golden})
     return rows
 
 
@@ -108,13 +132,7 @@ def _ratio_rows(spec: Spectrum, tolerance: float) -> list[dict]:
     help="max: heaviest mass = 1; first: lightest mass = 2 sin(pi/h); "
     "unit: mass vector of norm 1; absolute: mass-matrix eigenvalue scale.",
 )
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "json", "csv"]),
-    default="table",
-    show_default=True,
-)
+@_format_option
 @click.option(
     "--tolerance",
     type=float,
@@ -125,99 +143,73 @@ def _ratio_rows(spec: Spectrum, tolerance: float) -> list[dict]:
 def spectrum(algebra: str, method: str, normalize: str, fmt: str, tolerance: float) -> None:
     """Print particle masses and mass ratios for ALGEBRA (e.g. E8, A5, b3)."""
     aid = _algebra(algebra)
-    specs: dict[str, Spectrum] = {}
-    if method in ("pf", "both"):
-        specs["pf"] = spectrum_method1(aid).rescaled(normalize)
-    if method in ("massmatrix", "both"):
-        specs["massmatrix"] = spectrum_method2(aid).rescaled(normalize)
-    primary = specs.get("pf", specs.get("massmatrix"))
-    assert primary is not None
+    routes = {"pf": spectrum_method1, "massmatrix": spectrum_method2}
+    specs = {
+        name: route(aid).rescaled(normalize)
+        for name, route in routes.items()
+        if method in (name, "both")
+    }
+    primary = specs.get("pf") or specs["massmatrix"]
     ratios = _ratio_rows(primary, tolerance)
     spread = mass_ratio_spread(aid) if method == "both" else None
     h = root_system(aid).coxeter_number
-
-    if fmt == "json":
-        payload = {
-            "algebra": str(aid),
-            "coxeter_number": h,
-            "methods": sorted(specs),
-            "normalization": {
-                "kind": primary.normalization.kind,
-                "fixed": primary.normalization.fixed,
-                "scale": primary.normalization.scale,
-            },
-            "particles": [
-                {
-                    "label": i + 1,
-                    **{
-                        name: {
-                            "mass": spec.masses[i],
-                            "mass_squared": spec.mass_squares[i],
-                        }
-                        for name, spec in sorted(specs.items())
-                    },
-                }
-                for i in range(len(primary.masses))
-            ],
-            "ratios": ratios,
-            "golden_ratio_tolerance": tolerance,
-        }
-        if spread is not None:
-            payload["consistency_spread"] = spread
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
-        return
-
-    if fmt == "csv":
-        golden_with: dict[int, list[int]] = {}
-        for row in ratios:
-            if row["golden"]:
-                golden_with.setdefault(row["a"], []).append(row["b"])
-                golden_with.setdefault(row["b"], []).append(row["a"])
-        buf = io.StringIO()
-        names = sorted(specs)
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["label"]
-            + [f"mass_{name}" for name in names]
-            + [f"mass_squared_{name}" for name in names]
-            + ["golden_with"]
-        )
-        for i in range(len(primary.masses)):
-            writer.writerow(
-                [i + 1]
-                + [_fmt(specs[name].masses[i]) for name in names]
-                + [_fmt(specs[name].mass_squares[i]) for name in names]
-                + [";".join(str(x) for x in sorted(golden_with.get(i + 1, [])))]
-            )
-        click.echo(buf.getvalue(), nl=False)
-        return
-
-    # table
-    click.echo(f"algebra {aid}    coxeter number {h}")
-    click.echo(f"normalization: {primary.normalization.fixed}")
     names = sorted(specs)
-    header = ["particle"]
-    for name in names:
-        header += [f"mass[{name}]", f"mass^2[{name}]"]
-    rows = []
-    for i in range(len(primary.masses)):
-        cells = [str(i + 1)]
-        for name in names:
-            cells += [_fmt(specs[name].masses[i]), _fmt(specs[name].mass_squares[i])]
-        rows.append(cells)
-    widths = [
-        max(len(header[k]), max(len(r[k]) for r in rows)) for k in range(len(header))
+    labels = range(1, len(primary.masses) + 1)
+    masses = {k: [specs[name].masses[k - 1] for name in names] for k in labels}
+    squares = {k: [specs[name].mass_squares[k - 1] for name in names] for k in labels}
+
+    data = {
+        "algebra": str(aid),
+        "coxeter_number": h,
+        "methods": names,
+        "normalization": dataclasses.asdict(primary.normalization),
+        "particles": [
+            {
+                "label": k,
+                **{
+                    name: {"mass": m, "mass_squared": sq}
+                    for name, m, sq in zip(names, masses[k], squares[k])
+                },
+            }
+            for k in labels
+        ],
+        "ratios": ratios,
+        "golden_ratio_tolerance": tolerance,
+    }
+    if spread is not None:
+        data["consistency_spread"] = spread
+
+    golden_with: dict[int, list[int]] = {k: [] for k in labels}
+    for row in ratios:
+        if row["golden"]:
+            golden_with[row["a"]].append(row["b"])
+            golden_with[row["b"]].append(row["a"])
+    header = ["label"] + [f"{q}_{name}" for q in ("mass", "mass_squared") for name in names]
+    header.append("golden_with")
+    rows = [
+        [k]
+        + [_fmt(x) for x in masses[k] + squares[k]]
+        + [";".join(str(x) for x in sorted(golden_with[k]))]
+        for k in labels
     ]
-    click.echo("  ".join(hcol.ljust(w) for hcol, w in zip(header, widths)))
-    for cells in rows:
-        click.echo("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+
+    cells = [["particle"] + [c for name in names for c in (f"mass[{name}]", f"mass^2[{name}]")]]
+    cells += [
+        [str(k)] + [_fmt(x) for pair in zip(masses[k], squares[k]) for x in pair] for k in labels
+    ]
+    widths = [max(len(r[c]) for r in cells) for c in range(len(cells[0]))]
+    lines = [f"algebra {aid}    coxeter number {h}"]
+    lines.append(f"normalization: {primary.normalization.fixed}")
+    lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in cells]
     if ratios:
-        click.echo(f"mass ratios (golden ratio flagged within {tolerance:g} relative):")
+        lines.append(f"mass ratios (golden ratio flagged within {tolerance:g} relative):")
         for row in ratios:
             flag = "  golden" if row["golden"] else ""
-            click.echo(f"  m{row['b']}/m{row['a']} = {_fmt(row['value'])}{flag}")
+            lines.append(f"  m{row['b']}/m{row['a']} = {_fmt(row['value'])}{flag}")
     if spread is not None:
-        click.echo(f"consistency spread across methods: {spread:.3e}")
+        lines.append(f"consistency spread across methods: {spread:.3e}")
+
+    _write(Output(data, header, rows, lines, indent=2), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -225,97 +217,9 @@ def spectrum(algebra: str, method: str, normalize: str, fmt: str, tolerance: flo
 # ---------------------------------------------------------------------------
 
 
-def _e8_suite_checks() -> CheckReport:
-    """The eleven-entry E8 verification table."""
-    rs = root_system(E8)
-    identity = e8_identity_suite()
-    radical = radical_identity_suite()
-    checks: list[CheckResult] = []
-
-    a_poly = char_poly_exact(RationalMatrix.from_rows(dynkin_adjacency(rs.cartan)))
-    checks.append(
-        check_exact("adjacency-charpoly", str(a_poly) == ADJACENCY_CHARPOLY_E8, str(a_poly))
-    )
-    checks.append(radical["eigenvalue-closed-forms"])
-
-    u = perron_components(E8)
-    perron_res = max(abs(x - ref) for x, ref in zip(u, E8_PERRON_REFERENCE_4DP))
-    checks.append(
-        check(
-            "perron-components",
-            perron_res,
-            5e-5,
-            "components match the four-decimal reference row",
-        )
-    )
-    checks.append(identity["golden-ratio-mass-ratios"])
-    checks.append(radical["trig-closed-forms"])
-
-    m_poly = mass_char_poly(E8)
-    checks.append(check_exact("mass-charpoly", str(m_poly) == MASS_CHARPOLY_E8, str(m_poly)))
-    quotient, remainder = poly_divide_exact(m_poly, E8_MASS_QUARTICS[0])
-    checks.append(
-        check_exact(
-            "quartic-factorization",
-            remainder.is_zero and quotient == E8_MASS_QUARTICS[1],
-            f"quotient {quotient}; remainder {remainder}",
-        )
-    )
-    checks.append(identity["cross-product-identity"])
-    checks.append(identity["mass-scale-constant-term"])
-    checks.append(identity["mass-scale-closed-form"])
-
-    roots_check = radical["mass-closed-forms-as-factor-roots"]
-    ratio_check = radical["mass-closed-forms-proportional-to-masses"]
-    checks.append(
-        CheckResult(
-            "mass-closed-forms",
-            max(roots_check.residual, ratio_check.residual),
-            roots_check.tolerance,
-            roots_check.passed and ratio_check.passed,
-            f"{roots_check.detail}; {ratio_check.detail}",
-        )
-    )
-    return CheckReport(tuple(checks))
-
-
-def _exponent_checks() -> CheckReport:
-    checks = []
-    for name in classical.all_algebras(8):
-        rs = root_system(name)
-        eig = adjacency_eigen(name)
-        got = recover_exponents(eig.eigenvalues, rs.coxeter_number)
-        want = classical.exponents(name[0], int(name[1:]))
-        checks.append(
-            check_exact(f"exponents-{name}", got == want, " ".join(str(a) for a in got))
-        )
-    return CheckReport(tuple(checks))
-
-
-def _ade_checks() -> CheckReport:
-    checks = []
-    for name in classical.simply_laced_algebras(8):
-        spread = mass_ratio_spread(name)
-        checks.append(
-            check(
-                f"mass-ratio-{name}",
-                spread,
-                1e-9,
-                "squared masses proportional to squared Perron components",
-            )
-        )
-    return CheckReport(tuple(checks))
-
-
 @main.command()
-@click.argument("scope", type=click.Choice(["e8-paper", "all-ade", "exponents"]))
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "json", "csv"]),
-    default="table",
-    show_default=True,
-)
+@click.argument("scope", type=click.Choice(list(suites.SUITES)))
+@_format_option
 @click.option(
     "--tolerance",
     type=float,
@@ -330,59 +234,31 @@ def verify(scope: str, fmt: str, tolerance: float | None) -> None:
     for every simply-laced algebra of rank <= 8. exponents: recovered
     exponents against the classical tables for every algebra of rank <= 8.
     """
-    if scope == "e8-paper":
-        report = _e8_suite_checks()
-    elif scope == "all-ade":
-        report = _ade_checks()
-    else:
-        report = _exponent_checks()
-
+    report = suites.SUITES[scope]()
     if tolerance is not None:
-        report = CheckReport(
-            tuple(
-                CheckResult(c.name, c.residual, tolerance, abs(c.residual) <= tolerance, c.detail)
-                for c in report
-            )
-        )
+        report = report.with_tolerance(tolerance)
 
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "scope": scope,
-                    "all_passed": report.all_passed,
-                    "checks": [
-                        {
-                            "name": c.name,
-                            "residual": c.residual,
-                            "tolerance": c.tolerance,
-                            "passed": c.passed,
-                            "detail": c.detail,
-                        }
-                        for c in report
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "residual", "tolerance", "passed"])
-        for c in report:
-            writer.writerow([c.name, f"{c.residual:.3e}", f"{c.tolerance:.3e}", c.passed])
-        click.echo(buf.getvalue(), nl=False)
-    else:
-        name_w = max(len(c.name) for c in report)
-        for c in report:
-            click.echo(
-                f"{c.name.ljust(name_w)}  residual {c.residual:>10.3e}  "
-                f"tolerance {c.tolerance:>10.3e}  {_status(c.passed)}"
-            )
-        passed = sum(1 for c in report if c.passed)
-        click.echo(f"{passed}/{len(report)} checks passed")
-
+    name_w = max(len(c.name) for c in report)
+    passed = sum(1 for c in report if c.passed)
+    lines = [
+        f"{c.name.ljust(name_w)}  residual {c.residual:>10.3e}  "
+        f"tolerance {c.tolerance:>10.3e}  {_status(c.passed)}"
+        for c in report
+    ]
+    _write(
+        Output(
+            {
+                "scope": scope,
+                "all_passed": report.all_passed,
+                "checks": [dataclasses.asdict(c) for c in report],
+            },
+            ["name", "residual", "tolerance", "passed"],
+            [[c.name, f"{c.residual:.3e}", f"{c.tolerance:.3e}", c.passed] for c in report],
+            lines + [f"{passed}/{len(report)} checks passed"],
+            indent=2,
+        ),
+        fmt,
+    )
     if not report.all_passed:
         sys.exit(1)
 
@@ -392,198 +268,96 @@ def verify(scope: str, fmt: str, tolerance: float | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _dynkin_edges(aid: AlgebraId) -> list[tuple[int, int, int]]:
-    """(node, node, bond multiplicity) with 1-based labels."""
-    cm = root_system(aid).cartan
-    edges = []
-    for i in range(cm.rank):
-        for j in range(i + 1, cm.rank):
-            if cm.entries[i][j] != 0:
-                edges.append((i + 1, j + 1, cm.entries[i][j] * cm.entries[j][i]))
-    return edges
+def _cartan(aid: AlgebraId, rs: RootSystem) -> Output:
+    rows = [list(row) for row in rs.cartan.entries]
+    width = max(len(str(v)) for row in rows for v in row)
+    lines = [" ".join(str(v).rjust(width) for v in row) for row in rows]
+    return Output({"algebra": str(aid), "cartan": rows}, None, rows, lines)
 
 
-def _dynkin_ascii(aid: AlgebraId) -> list[str]:
-    l = aid.rank
-    fam = aid.family
-    if l == 1:
-        return ["1"]
-    if fam in ("D", "E"):
-        chain = list(range(1, l))
-        branch = l
-        attach = l - 2 if fam == "D" else l - 3
-    else:
-        chain = list(range(1, l + 1))
-        branch = attach = None
+def _roots(aid: AlgebraId, rs: RootSystem) -> Output:
+    roots = [list(r) for r in rs.positive_roots]
+    data = {
+        "algebra": str(aid),
+        "count": len(roots),
+        "positive_roots": roots,
+        "highest_root": list(rs.highest_root),
+        "marks": list(rs.marks),
+    }
+    lines = [f"{len(roots)} positive roots of {aid} (simple-root coefficients):"]
+    lines += ["  (" + ", ".join(str(v) for v in r) + ")" for r in roots]
+    lines.append("highest root: (" + ", ".join(str(v) for v in rs.highest_root) + ")")
+    return Output(data, None, roots, lines)
 
-    def bond(left: int) -> str:
-        # bond drawn between chain nodes `left` and `left + 1`; arrows point
-        # from long roots to short ones
-        if fam == "B" and left == l - 1:
-            return "==>"
-        if fam == "C" and left == l - 1:
-            return "<=="
-        if fam == "F" and left == 2:
-            return "==>"
-        if fam == "G":
-            return "<3="
-        return "---"
 
+def _poly(aid: AlgebraId, poly: RationalPolynomial) -> Output:
+    coeffs = [int(c) if c.denominator == 1 else str(c) for c in poly.coefficients]
+    data = {"algebra": str(aid), "polynomial": str(poly), "coefficients_ascending": coeffs}
+    return Output(data, ["degree", "coefficient"], list(enumerate(coeffs)), [str(poly)])
+
+
+def _dynkin(aid: AlgebraId, rs: RootSystem) -> Output:
+    """The chain of nodes left to right, with a D or E branch node drawn below.
+
+    Bonds come from the Cartan matrix; arrows point from long roots to short ones.
+    """
+    c = rs.cartan.entries
+    branched = aid.family in ("D", "E")
+    attach = aid.rank - (2 if aid.family == "D" else 3)
     line = ""
-    centers = {}
-    for idx, node in enumerate(chain):
-        if idx:
-            line += f" {bond(chain[idx - 1])} "
-        centers[node] = len(line) + (len(str(node)) - 1) // 2
+    for node in range(1, aid.rank if branched else aid.rank + 1):
+        if node > 1:
+            a, b = c[node - 2][node - 1], c[node - 1][node - 2]
+            mid = "=" if a * b == 2 else "3"
+            line += " --- " if a == b else f" ={mid}> " if a < b else f" <{mid}= "
+        if node == attach:
+            col = len(line) + (len(str(node)) - 1) // 2
         line += str(node)
-    out = [line]
-    if branch is not None and attach is not None:
-        col = centers[attach]
-        out.append(" " * col + "|")
-        label = str(branch)
-        start = max(0, col - (len(label) - 1) // 2)
-        out.append(" " * start + label)
-    return out
+    lines = [line]
+    if branched:
+        label = str(aid.rank)
+        lines += [" " * col + "|", " " * max(0, col - (len(label) - 1) // 2) + label]
+    # (node, node, bond multiplicity) with 1-based labels
+    edges = [
+        [i + 1, j + 1, c[i][j] * c[j][i]]
+        for i in range(rs.rank)
+        for j in range(i + 1, rs.rank)
+        if c[i][j] != 0
+    ]
+    data = {"algebra": str(aid), "ascii": lines, "edges": edges}
+    return Output(data, ["node_a", "node_b", "bond"], edges, lines)
+
+
+def _exponents(aid: AlgebraId, rs: RootSystem) -> Output:
+    exps = recover_exponents(adjacency_eigen(aid).eigenvalues, rs.coxeter_number)
+    data = {"algebra": str(aid), "coxeter_number": rs.coxeter_number, "exponents": list(exps)}
+    lines = [
+        f"exponents of {aid} (coxeter number {rs.coxeter_number}):",
+        "  " + " ".join(str(a) for a in exps),
+    ]
+    return Output(data, ["exponent"], [[a] for a in exps], lines)
+
+
+INSPECT_TOPICS: dict[str, Callable[[AlgebraId, RootSystem], Output]] = {
+    "cartan": _cartan,
+    "roots": _roots,
+    "charpoly-a": lambda aid, rs: _poly(aid, adjacency_char_poly(aid)),
+    "charpoly-b": lambda aid, rs: _poly(aid, mass_char_poly(aid)),
+    "dynkin": _dynkin,
+    "exponents": _exponents,
+}
 
 
 @main.command()
 @click.argument("algebra")
-@click.argument(
-    "what",
-    type=click.Choice(["cartan", "roots", "charpoly-a", "charpoly-b", "dynkin", "exponents"]),
-)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "json", "csv"]),
-    default="table",
-    show_default=True,
-)
+@click.argument("what", type=click.Choice(list(INSPECT_TOPICS)))
+@_format_option
 def inspect(algebra: str, what: str, fmt: str) -> None:
     """Print algebra data: the Cartan matrix, positive roots, characteristic
     polynomials of the adjacency (charpoly-a) or mass (charpoly-b) matrix,
     the Dynkin diagram, or the exponents."""
     aid = _algebra(algebra)
-    rs = root_system(aid)
-
-    if what == "cartan":
-        rows = [list(row) for row in rs.cartan.entries]
-        if fmt == "json":
-            click.echo(json.dumps({"algebra": str(aid), "cartan": rows}, sort_keys=True))
-        elif fmt == "csv":
-            click.echo(_csv_rows(rows), nl=False)
-        else:
-            width = max(len(str(v)) for row in rows for v in row)
-            for row in rows:
-                click.echo(" ".join(str(v).rjust(width) for v in row))
-        return
-
-    if what == "roots":
-        roots = [list(r) for r in rs.positive_roots]
-        if fmt == "json":
-            click.echo(
-                json.dumps(
-                    {
-                        "algebra": str(aid),
-                        "count": len(roots),
-                        "positive_roots": roots,
-                        "highest_root": list(rs.highest_root),
-                        "marks": list(rs.marks),
-                    },
-                    sort_keys=True,
-                )
-            )
-        elif fmt == "csv":
-            click.echo(_csv_rows(roots), nl=False)
-        else:
-            click.echo(f"{len(roots)} positive roots of {aid} (simple-root coefficients):")
-            for r in roots:
-                click.echo("  (" + ", ".join(str(v) for v in r) + ")")
-            click.echo("highest root: (" + ", ".join(str(v) for v in rs.highest_root) + ")")
-        return
-
-    if what in ("charpoly-a", "charpoly-b"):
-        if what == "charpoly-a":
-            poly = char_poly_exact(RationalMatrix.from_rows(dynkin_adjacency(rs.cartan)))
-        else:
-            poly = mass_char_poly(aid)
-        if fmt == "json":
-            click.echo(
-                json.dumps(
-                    {
-                        "algebra": str(aid),
-                        "polynomial": str(poly),
-                        "coefficients_ascending": [
-                            int(c) if c.denominator == 1 else str(c) for c in poly.coefficients
-                        ],
-                    },
-                    sort_keys=True,
-                )
-            )
-        elif fmt == "csv":
-            rows = [
-                [k, int(c) if c.denominator == 1 else str(c)]
-                for k, c in enumerate(poly.coefficients)
-            ]
-            click.echo(_csv_rows(rows, header=["degree", "coefficient"]), nl=False)
-        else:
-            click.echo(str(poly))
-        return
-
-    if what == "dynkin":
-        lines = _dynkin_ascii(aid)
-        if fmt == "json":
-            click.echo(
-                json.dumps(
-                    {
-                        "algebra": str(aid),
-                        "ascii": lines,
-                        "edges": [list(e) for e in _dynkin_edges(aid)],
-                    },
-                    sort_keys=True,
-                )
-            )
-        elif fmt == "csv":
-            click.echo(
-                _csv_rows(
-                    [list(e) for e in _dynkin_edges(aid)],
-                    header=["node_a", "node_b", "bond"],
-                ),
-                nl=False,
-            )
-        else:
-            for line in lines:
-                click.echo(line)
-        return
-
-    # exponents
-    eig = adjacency_eigen(aid)
-    exps = recover_exponents(eig.eigenvalues, rs.coxeter_number)
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "algebra": str(aid),
-                    "coxeter_number": rs.coxeter_number,
-                    "exponents": list(exps),
-                },
-                sort_keys=True,
-            )
-        )
-    elif fmt == "csv":
-        click.echo(_csv_rows([[a] for a in exps], header=["exponent"]), nl=False)
-    else:
-        click.echo(f"exponents of {aid} (coxeter number {rs.coxeter_number}):")
-        click.echo("  " + " ".join(str(a) for a in exps))
-
-
-def _csv_rows(rows: list[list], header: list[str] | None = None) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if header:
-        writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    _write(INSPECT_TOPICS[what](aid, root_system(aid)), fmt)
 
 
 if __name__ == "__main__":

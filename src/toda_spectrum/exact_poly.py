@@ -229,11 +229,6 @@ def poly_divide_exact(
     return RationalPolynomial(tuple(quot)), RationalPolynomial(tuple(rem))
 
 
-def poly_eval(p: RationalPolynomial, x: float) -> float:
-    """Double-precision Horner evaluation."""
-    return p.evaluate(x)
-
-
 def refine_real_roots(
     p: RationalPolynomial, lo: float, hi: float, samples: int = 20000
 ) -> list[float]:

@@ -168,6 +168,11 @@ def mass_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:
     return char_poly_exact(mass_matrix(algebra).kg)
 
 
+def adjacency_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:
+    """Exact characteristic polynomial of the Dynkin adjacency matrix 2I - C."""
+    return char_poly_exact(RationalMatrix.from_rows(dynkin_adjacency(root_system(algebra).cartan)))
+
+
 def mass_matrix_embedded(algebra: AlgebraId | str) -> list[list[float]]:
     """The symmetric mass matrix built from embedded root coordinates."""
     rs = root_system(algebra)
@@ -237,7 +242,7 @@ def spectrum_method1(algebra: AlgebraId | str) -> Spectrum:
 
     E8 masses are node-indexed; other algebras come out ascending.
     """
-    aid = AlgebraId.parse(algebra) if isinstance(algebra, str) else algebra
+    aid = AlgebraId.of(algebra)
     rs = root_system(aid)
     u = perron_components(aid, PerronNormalization.FIRST_COMPONENT)
     scale = _mass_scale(rs, u)
@@ -265,7 +270,7 @@ def spectrum_method2(algebra: AlgebraId | str) -> Spectrum:
     components (particle j carries mass proportional to component j); other
     algebras come out ascending.
     """
-    aid = AlgebraId.parse(algebra) if isinstance(algebra, str) else algebra
+    aid = AlgebraId.of(algebra)
     eig = jacobi_eigen(mass_matrix_embedded(aid))
     squares_desc = eig.eigenvalues
     if squares_desc[-1] <= 0.0:
@@ -302,7 +307,7 @@ def mass_ratio_spread(algebra: AlgebraId | str) -> float:
     Perron route; both are sorted ascending and divided pairwise. The spread
     is max(ratio)/min(ratio) - 1, zero when the two routes agree perfectly.
     """
-    aid = AlgebraId.parse(algebra) if isinstance(algebra, str) else algebra
+    aid = AlgebraId.of(algebra)
     u = sorted(perron_components(aid))
     squares = sorted(jacobi_eigen(mass_matrix_embedded(aid)).eigenvalues)
     ratios = [m / (x * x) for m, x in zip(squares, u)]
@@ -318,7 +323,7 @@ def consistency_check(algebra: AlgebraId | str) -> float:
     For B, C, F and G the spread is reported without judgement: the node-wise
     proportionality of masses and Perron components is a simply-laced fact.
     """
-    aid = AlgebraId.parse(algebra) if isinstance(algebra, str) else algebra
+    aid = AlgebraId.of(algebra)
     spread = mass_ratio_spread(aid)
     if classical.simply_laced(aid.family) and spread > CONSISTENCY_TOL:
         raise ConsistencyError(

@@ -24,6 +24,10 @@ class CheckReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def with_tolerance(self, tolerance: float) -> "CheckReport":
+        """The same residuals, each judged against one blanket ``tolerance``."""
+        return CheckReport(tuple(check(c.name, c.residual, tolerance, c.detail) for c in self))
+
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
 

@@ -71,6 +71,11 @@ class AlgebraId:
             )
         return cls(m.group(1).upper(), int(m.group(2)))
 
+    @classmethod
+    def of(cls, algebra: "AlgebraId | str") -> "AlgebraId":
+        """``algebra`` itself, or the id parsed from a name like ``"E8"``."""
+        return cls.parse(algebra) if isinstance(algebra, str) else algebra
+
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
@@ -265,10 +270,16 @@ def generate_roots(cartan: CartanMatrix, algebra: AlgebraId | None = None) -> Ro
     )
 
 
-@functools.lru_cache(maxsize=None)
 def root_system(algebra: AlgebraId | str) -> RootSystem:
-    """Root system for an algebra given as an :class:`AlgebraId` or a name like ``"E8"``."""
-    aid = AlgebraId.parse(algebra) if isinstance(algebra, str) else algebra
+    """Root system for an algebra given as an :class:`AlgebraId` or a name like ``"E8"``.
+
+    Cached per algebra: every spelling of one algebra returns the same object.
+    """
+    return _root_system(AlgebraId.of(algebra))
+
+
+@functools.lru_cache(maxsize=None)
+def _root_system(aid: AlgebraId) -> RootSystem:
     return generate_roots(cartan_matrix(aid), aid)
 
 

@@ -10,7 +10,6 @@ from toda_spectrum.exact_poly import (
     RationalPolynomial,
     char_poly_exact,
     poly_divide_exact,
-    poly_eval,
     refine_real_roots,
 )
 from toda_spectrum.masses import E8_MASS_QUARTICS, mass_char_poly
@@ -174,17 +173,17 @@ def test_division_round_trip(p, d):
 def test_eval_adjacency_poly_at_top_eigenvalue():
     a = RationalMatrix.from_rows(dynkin_adjacency(cartan_matrix(AlgebraId("E", 8))))
     poly = char_poly_exact(a)
-    assert abs(poly_eval(poly, 2.0 * math.cos(math.pi / 30))) < 1e-10
+    assert abs(poly.evaluate(2.0 * math.cos(math.pi / 30))) < 1e-10
 
 
 def test_eval_at_zero_gives_constant():
-    assert poly_eval(RationalPolynomial.of(7, -3, 2), 0.0) == 7.0
+    assert RationalPolynomial.of(7, -3, 2).evaluate(0.0) == 7.0
 
 
 def test_eval_light_quartic_near_smallest_mass_square():
     # the quartic carrying particles 1,3,4,6 vanishes at the lightest
     # particle's squared mass (~0.8513416)
-    assert abs(poly_eval(E8_MASS_QUARTICS[1], SMALLEST_LIGHT_QUARTIC_ROOT)) < 1e-4
+    assert abs(E8_MASS_QUARTICS[1].evaluate(SMALLEST_LIGHT_QUARTIC_ROOT)) < 1e-4
 
 
 def test_refine_real_roots_quadratic():

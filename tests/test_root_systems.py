@@ -136,6 +136,20 @@ def test_a2_by_hand():
     assert rs.coxeter_number == 3
 
 
+def test_root_system_closed_once_whatever_the_spelling(monkeypatch):
+    import toda_spectrum.root_systems as module
+
+    calls = []
+    original = module.generate_roots
+    monkeypatch.setattr(
+        module, "generate_roots", lambda *args: calls.append(args) or original(*args)
+    )
+    rs = root_system(AlgebraId("A", 10))
+    assert root_system("A10") is rs
+    assert root_system("a10") is rs
+    assert len(calls) <= 1
+
+
 def test_generate_roots_from_raw_cartan():
     rs = generate_roots(CartanMatrix(((2, -1), (-1, 2))))
     assert rs.algebra is None
