@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import os
 import sys
@@ -85,10 +84,14 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _use_color() -> bool:
+    return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
+
+
 def _status(passed: bool) -> str:
     text = "PASS" if passed else "FAIL"
-    if sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
-        return f"\033[{92 if passed else 91}m{text}\033[0m"
+    if _use_color():
+        return f"\033[92m{text}\033[0m" if passed else f"\033[91m{text}\033[0m"
     return text
 
 
@@ -105,13 +108,15 @@ def main() -> None:
 
 def _ratio_rows(spec: Spectrum, tolerance: float) -> list[dict]:
     rows = []
-    for i, j in itertools.combinations(range(len(spec.masses)), 2):
-        value = spec.masses[j] / spec.masses[i]
-        golden = (
-            min(abs(value - GOLDEN_RATIO), abs(1.0 / value - GOLDEN_RATIO))
-            <= tolerance * GOLDEN_RATIO
-        )
-        rows.append({"a": i + 1, "b": j + 1, "value": value, "golden": golden})
+    n = len(spec.masses)
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = spec.masses[j] / spec.masses[i]
+            golden = (
+                min(abs(value - GOLDEN_RATIO), abs(1.0 / value - GOLDEN_RATIO))
+                <= tolerance * GOLDEN_RATIO
+            )
+            rows.append({"a": i + 1, "b": j + 1, "value": value, "golden": golden})
     return rows
 
 
@@ -143,13 +148,13 @@ def _ratio_rows(spec: Spectrum, tolerance: float) -> list[dict]:
 def spectrum(algebra: str, method: str, normalize: str, fmt: str, tolerance: float) -> None:
     """Print particle masses and mass ratios for ALGEBRA (e.g. E8, A5, b3)."""
     aid = _algebra(algebra)
-    routes = {"pf": spectrum_method1, "massmatrix": spectrum_method2}
-    specs = {
-        name: route(aid).rescaled(normalize)
-        for name, route in routes.items()
-        if method in (name, "both")
-    }
-    primary = specs.get("pf") or specs["massmatrix"]
+    specs: dict[str, Spectrum] = {}
+    if method in ("pf", "both"):
+        specs["pf"] = spectrum_method1(aid).rescaled(normalize)
+    if method in ("massmatrix", "both"):
+        specs["massmatrix"] = spectrum_method2(aid).rescaled(normalize)
+    primary = specs.get("pf", specs.get("massmatrix"))
+    assert primary is not None
     ratios = _ratio_rows(primary, tolerance)
     spread = mass_ratio_spread(aid) if method == "both" else None
     h = root_system(aid).coxeter_number

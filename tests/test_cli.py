@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from toda_spectrum.cli import main
@@ -194,6 +195,24 @@ def test_inspect_dynkin_e8_labels():
     assert lines[0] == "1 --- 2 --- 3 --- 4 --- 5 --- 6 --- 7"
     assert lines[1].index("|") == lines[0].index("5")
     assert lines[2].strip() == "8"
+
+
+@pytest.mark.parametrize(
+    "algebra, drawing",
+    [
+        ("A1", ["1"]),
+        ("A3", ["1 --- 2 --- 3"]),
+        ("C3", ["1 --- 2 <== 3"]),
+        ("F4", ["1 --- 2 ==> 3 --- 4"]),
+        ("D3", ["1 --- 2", "|", "3"]),
+        ("D4", ["1 --- 2 --- 3", "      |", "      4"]),
+        ("E6", ["1 --- 2 --- 3 --- 4 --- 5", "            |", "            6"]),
+    ],
+)
+def test_inspect_dynkin_drawing(algebra, drawing):
+    result = run("inspect", algebra, "dynkin")
+    assert result.exit_code == 0
+    assert result.output.splitlines() == drawing
 
 
 def test_inspect_exponents_e8():
