@@ -1,13 +1,18 @@
 """Exact rational polynomials and matrices.
 
-Characteristic polynomials are computed with the Faddeev-LeVerrier recurrence
-over :class:`fractions.Fraction`, so every coefficient comes out exact. That
-is O(n^4) with fat rationals, which is entirely fine at the ranks this package
-handles; correctness is the point, not speed.
+The matrix kernels clear denominators once and then work in Python integers,
+the fraction-free idea of Bareiss (1968): a product scales both factors by the
+lcm of their denominators, multiplies integer rows and divides once per entry;
+the characteristic polynomial runs Faddeev-LeVerrier on the scaled integer
+matrix, where every division is exact, and unscales the coefficients at the
+end. Every coefficient is exact, and no ``Fraction`` is normalised inside the
+O(n^4) loop.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -167,42 +172,51 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        n = self.n
+        scale_a, a = _integer_rows(self)
+        scale_b, b = _integer_rows(other)
+        scale = scale_a * scale_b
         return RationalMatrix(
-            tuple(
-                tuple(
-                    sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), Fraction(0))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
+            tuple(tuple(Fraction(v, scale) for v in row) for row in _int_matmul(a, b))
         )
 
     def to_float(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.entries]
 
 
+def _integer_rows(m: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """The lcm L of the denominators of ``m``, and the integer rows of L*m."""
+    scale = math.lcm(*(v.denominator for row in m.entries for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in m.entries]
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    columns = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
+
+
 def char_poly_exact(m: RationalMatrix) -> RationalPolynomial:
     """Monic characteristic polynomial det(xI - m), exact.
 
-    Faddeev-LeVerrier: with M1 = m and c_k = -trace(M_k)/k,
-    M_{k+1} = m (M_k + c_k I); the c_k are the descending coefficients
-    after the leading 1.
+    Faddeev-LeVerrier on the integer matrix a = L*m, L the lcm of the
+    denominators of m: with M_1 = a and c_k = -trace(M_k)/k,
+    M_{k+1} = a (M_k + c_k I); the c_k are the descending coefficients of
+    det(xI - a) after the leading 1. They are integers, so each division by k
+    is exact, and the coefficients of m are c_k / L^k.
     """
     n = m.n
+    scale, a = _integer_rows(m)
     coeffs_desc: list[Fraction] = [Fraction(1)]
-    mk = m
+    mk = a
     for k in range(1, n + 1):
-        ck = -mk.trace() / k
-        coeffs_desc.append(ck)
+        ck, remainder = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if remainder:
+            raise ArithmeticError(f"trace of M_{k} is not divisible by {k}")
+        coeffs_desc.append(Fraction(ck, scale**k))
         if k < n:
-            shifted = RationalMatrix(
-                tuple(
-                    tuple(mk.entries[i][j] + (ck if i == j else 0) for j in range(n))
-                    for i in range(n)
-                )
-            )
-            mk = m @ shifted
+            shifted = [
+                [v + ck if i == j else v for j, v in enumerate(row)] for i, row in enumerate(mk)
+            ]
+            mk = _int_matmul(a, shifted)
     return RationalPolynomial(tuple(reversed(coeffs_desc)))
 
 

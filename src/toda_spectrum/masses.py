@@ -20,6 +20,7 @@ both spectra are reported without asserting agreement.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,8 +165,16 @@ def mass_matrix(algebra: AlgebraId | str) -> MassMatrixExact:
 
 
 def mass_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:
-    """Exact characteristic polynomial of the mass matrix."""
-    return char_poly_exact(mass_matrix(algebra).kg)
+    """Exact characteristic polynomial of the mass matrix.
+
+    Cached per algebra: every spelling of one algebra returns the same object.
+    """
+    return _mass_char_poly(AlgebraId.of(algebra))
+
+
+@functools.lru_cache(maxsize=None)
+def _mass_char_poly(aid: AlgebraId) -> RationalPolynomial:
+    return char_poly_exact(mass_matrix(aid).kg)
 
 
 def adjacency_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toda_spectrum.exact_poly import (
@@ -41,7 +41,7 @@ def _poly_det(mat: list[list[RationalPolynomial]]) -> RationalPolynomial:
     return total
 
 
-def charpoly_oracle(entries: list[list[int]]) -> RationalPolynomial:
+def charpoly_oracle(entries: list[list[Fraction]]) -> RationalPolynomial:
     n = len(entries)
     x = RationalPolynomial.of(0, 1)
     zero = RationalPolynomial.of()
@@ -55,18 +55,42 @@ def charpoly_oracle(entries: list[list[int]]) -> RationalPolynomial:
     return _poly_det(mat)
 
 
-@st.composite
-def small_int_matrices(draw, max_n=4):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+# entries with denominators 1-6, so the kernels' lcm scaling meets mixed denominators
+rationals = st.builds(Fraction, st.integers(min_value=-30, max_value=30), st.integers(1, 6))
+
+
+def rational_matrices(n: int):
+    return st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(rational_matrices))
+def test_char_poly_matches_cofactor_oracle(entries):
+    assert char_poly_exact(RationalMatrix.from_rows(entries)) == charpoly_oracle(entries)
+
+
+def naive_matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    n = len(a)
     return [
-        [draw(st.integers(min_value=-5, max_value=5)) for _ in range(n)] for _ in range(n)
+        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        for i in range(n)
     ]
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_int_matrices())
-def test_char_poly_matches_cofactor_oracle(entries):
-    assert char_poly_exact(RationalMatrix.from_rows(entries)) == charpoly_oracle(entries)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(rational_matrices(n), rational_matrices(n))
+    )
+)
+@example(([[0, 0], [0, 0]], [[Fraction(1, 2), -3], [5, Fraction(-2, 3)]]))
+@example(([[Fraction(-3, 4), 2], [Fraction(1, 6), -1]], [[0, 0], [0, 0]]))
+@example(([[Fraction(-3, 4)]], [[Fraction(-2, 5)]]))
+def test_matmul_matches_naive_triple_sum(pair):
+    a, b = pair
+    product = RationalMatrix.from_rows(a) @ RationalMatrix.from_rows(b)
+    assert product == RationalMatrix.from_rows(naive_matmul(a, b))
+    assert all(isinstance(v, Fraction) for row in product.entries for v in row)
 
 
 def test_char_poly_matches_oracle_5x5():

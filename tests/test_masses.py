@@ -22,7 +22,7 @@ from toda_spectrum.masses import (
     spectrum_method1,
     spectrum_method2,
 )
-from toda_spectrum.root_systems import root_system
+from toda_spectrum.root_systems import AlgebraId, _det_exact, root_system
 from toda_spectrum.spectral import jacobi_eigen
 
 ADE = classical.simply_laced_algebras(8)
@@ -50,6 +50,19 @@ def test_e8_mass_charpoly_exact():
         -60,
         1,
     ]
+
+
+@pytest.mark.parametrize("name", classical.all_algebras(10))
+def test_mass_determinant_closed_form(name):
+    # K = diag(marks) + marks marks^T with n_0 = 1, so det K = prod(marks) (1 + sum(marks))
+    # = h prod(marks), and det(KG) = h prod(marks) det(G)
+    rs = root_system(name)
+    det = rs.coxeter_number * math.prod(rs.marks) * _det_exact([list(r) for r in rs.gram])
+    assert mass_char_poly(name).coefficients[0] == (-1) ** rs.rank * det
+
+
+def test_mass_char_poly_cached_per_algebra():
+    assert mass_char_poly("a10") is mass_char_poly(AlgebraId("A", 10))
 
 
 def test_e8_mass_trace_is_twice_coxeter():

@@ -1,5 +1,7 @@
+from toda_spectrum import masses
 from toda_spectrum.masses import CONSISTENCY_TOL
-from toda_spectrum.verify import SUITES
+from toda_spectrum.report import check
+from toda_spectrum.verify import SUITES, _merged_check
 
 E8_TABLE = [
     "adjacency-charpoly",
@@ -41,3 +43,31 @@ def test_with_tolerance_rejudges_every_residual():
     assert all(c.passed == (abs(c.residual) <= 1e-30) for c in strict)
     assert not strict.all_passed
     assert strict["mass-charpoly"].passed  # exact checks have residual 0
+
+
+def test_e8_paper_computes_each_char_poly_once(monkeypatch):
+    original = masses.char_poly_exact
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(masses, "char_poly_exact", counting)
+    masses._mass_char_poly.cache_clear()
+    SUITES["e8-paper"]()
+    assert len(calls) == 2  # the adjacency char-poly once, the mass char-poly once
+
+
+def test_merged_row_is_judged_like_the_part_nearest_to_failing():
+    roots = check("roots", 1e-15, 1e-9)
+    ratio = check("ratio", 1e-10, 1e-12)  # above its own tolerance, below the other's
+    merged = _merged_check("mass-closed-forms", roots, ratio)
+    assert (merged.residual, merged.tolerance, merged.passed) == (1e-10, 1e-12, False)
+    assert merged.passed == (abs(merged.residual) <= merged.tolerance)
+
+    roots = check("roots", 5e-13, 1e-9)
+    ratio = check("ratio", 5e-13, 1e-12)
+    merged = _merged_check("mass-closed-forms", roots, ratio)
+    assert (merged.residual, merged.tolerance, merged.passed) == (5e-13, 1e-12, True)
+    assert merged.detail == f"{roots.detail}; {ratio.detail}"
