@@ -50,16 +50,6 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.coefficients[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return self.leading_coefficient == 1
-
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
@@ -85,10 +75,6 @@ class RationalPolynomial:
             for j, b in enumerate(other.coefficients):
                 out[i + j] += a * b
         return RationalPolynomial(tuple(out))
-
-    def scale(self, factor: RationalLike) -> "RationalPolynomial":
-        f = _frac(factor)
-        return RationalPolynomial(tuple(c * f for c in self.coefficients))
 
     def evaluate(self, x: float) -> float:
         """Horner evaluation in double precision."""
@@ -158,10 +144,6 @@ class RationalMatrix:
     def from_rows(cls, rows: Iterable[Sequence[RationalLike]]) -> "RationalMatrix":
         return cls(tuple(tuple(_frac(v) for v in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -178,9 +160,6 @@ class RationalMatrix:
         return RationalMatrix(
             tuple(tuple(Fraction(v, scale) for v in row) for row in _int_matmul(a, b))
         )
-
-    def to_float(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.entries]
 
 
 def _integer_rows(m: RationalMatrix) -> tuple[int, list[list[int]]]:

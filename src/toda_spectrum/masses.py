@@ -216,10 +216,28 @@ def perron_components(
     algebra: AlgebraId | str,
     normalization: PerronNormalization = PerronNormalization.FIRST_COMPONENT,
 ) -> tuple[float, ...]:
-    """Left Perron-Frobenius components of the adjacency matrix, node-indexed."""
-    rs = root_system(algebra)
-    a = [[float(v) for v in row] for row in dynkin_adjacency(rs.cartan)]
+    """Left Perron-Frobenius components of the adjacency matrix, node-indexed.
+
+    Cached per algebra and normalization, like ``mass_char_poly``.
+    """
+    return _perron_components(AlgebraId.of(algebra), normalization)
+
+
+@functools.lru_cache(maxsize=None)
+def _perron_components(aid: AlgebraId, normalization: PerronNormalization) -> tuple[float, ...]:
+    a = [[float(v) for v in row] for row in dynkin_adjacency(root_system(aid).cartan)]
     return perron_vector(a, normalization).components
+
+
+@functools.lru_cache(maxsize=None)
+def _mass_squares(aid: AlgebraId) -> tuple[float, ...]:
+    """Mass-matrix eigenvalues in ascending order, computed once per algebra."""
+    squares_desc = jacobi_eigen(mass_matrix_embedded(aid)).eigenvalues
+    if squares_desc[-1] <= 0.0:
+        raise ConsistencyError(
+            f"mass matrix of {aid} produced a nonpositive eigenvalue: {squares_desc[-1]}"
+        )
+    return tuple(sorted(squares_desc))
 
 
 def _mass_scale(rs: RootSystem, u: tuple[float, ...]) -> float:
@@ -280,13 +298,7 @@ def spectrum_method2(algebra: AlgebraId | str) -> Spectrum:
     algebras come out ascending.
     """
     aid = AlgebraId.of(algebra)
-    eig = jacobi_eigen(mass_matrix_embedded(aid))
-    squares_desc = eig.eigenvalues
-    if squares_desc[-1] <= 0.0:
-        raise ConsistencyError(
-            f"mass matrix of {aid} produced a nonpositive eigenvalue: {squares_desc[-1]}"
-        )
-    ascending = sorted(squares_desc)
+    ascending = _mass_squares(aid)
     if aid == E8:
         u = perron_components(aid)
         order = sorted(range(len(u)), key=lambda i: u[i])
@@ -294,7 +306,7 @@ def spectrum_method2(algebra: AlgebraId | str) -> Spectrum:
         for rank_pos, node in enumerate(order):
             squares[node] = ascending[rank_pos]
     else:
-        squares = ascending
+        squares = list(ascending)
     masses = tuple(math.sqrt(x) for x in squares)
     return Spectrum(
         algebra=aid,
@@ -318,7 +330,7 @@ def mass_ratio_spread(algebra: AlgebraId | str) -> float:
     """
     aid = AlgebraId.of(algebra)
     u = sorted(perron_components(aid))
-    squares = sorted(jacobi_eigen(mass_matrix_embedded(aid)).eigenvalues)
+    squares = _mass_squares(aid)
     ratios = [m / (x * x) for m, x in zip(squares, u)]
     return max(ratios) / min(ratios) - 1.0
 

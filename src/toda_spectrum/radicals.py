@@ -6,12 +6,11 @@ is closed under addition, subtraction, multiplication and division by
 rationals (square roots multiply by multiplying their radicands), and it
 covers every closed form this package verifies.
 
-Evaluation runs bottom-up in double-double arithmetic: each value is an
-unevaluated sum hi + lo of two doubles, giving roughly 31 significant decimal
-digits. The usual error-free transformations do the work - Knuth's two-sum,
-Dekker's split-based two-product, and one double-double Newton step on top of
-the hardware square root. No fused multiply-add is assumed, so results are
-bit-identical across platforms.
+Evaluation runs bottom-up in the standard library's decimal arithmetic at 40
+significant digits, in one fixed context: the rational terms of each sum are
+added exactly as fractions and rounded once, and each term coeff * sqrt(inner)
+uses the correctly rounded decimal square root. The result is then rounded to
+the nearest double, so it is the same on every platform.
 """
 
 from __future__ import annotations
@@ -19,8 +18,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .exact_poly import refine_real_roots
 from .masses import (
@@ -41,84 +41,9 @@ class NegativeRadicandError(ValueError):
         super().__init__(f"negative radicand {value!r} in sqrt({subtree})")
 
 
-# ---------------------------------------------------------------------------
-# double-double primitives
-# ---------------------------------------------------------------------------
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-class _DD(NamedTuple):
-    hi: float
-    lo: float
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _quick_sum(a: float, b: float) -> tuple[float, float]:
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def _split(a: float) -> tuple[float, float]:
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(x: _DD, y: _DD) -> _DD:
-    s, e = _two_sum(x.hi, y.hi)
-    t, f = _two_sum(x.lo, y.lo)
-    e += t
-    s, e = _quick_sum(s, e)
-    e += f
-    return _DD(*_quick_sum(s, e))
-
-
-def _dd_neg(x: _DD) -> _DD:
-    return _DD(-x.hi, -x.lo)
-
-def _dd_mul(x: _DD, y: _DD) -> _DD:
-    p, e = _two_prod(x.hi, y.hi)
-    e += x.hi * y.lo + x.lo * y.hi
-    return _DD(*_quick_sum(p, e))
-
-
-def _dd_div(x: _DD, y: _DD) -> _DD:
-    q1 = x.hi / y.hi
-    r = _dd_add(x, _dd_neg(_dd_mul(y, _DD(q1, 0.0))))
-    q2 = r.hi / y.hi
-    r = _dd_add(r, _dd_neg(_dd_mul(y, _DD(q2, 0.0))))
-    q3 = r.hi / y.hi
-    s, e = _quick_sum(q1, q2)
-    return _DD(*_quick_sum(s, e + q3))
-
-
-def _dd_sqrt(x: _DD) -> _DD:
-    if x.hi == 0.0 and x.lo == 0.0:
-        return _DD(0.0, 0.0)
-    y = math.sqrt(x.hi)
-    # one Newton step carried out in double-double: y + (x - y^2) / (2y)
-    diff = _dd_add(x, _dd_neg(_dd_mul(_DD(y, 0.0), _DD(y, 0.0))))
-    return _DD(*_quick_sum(y, diff.hi / (2.0 * y)))
-
-
-def _dd_from_fraction(f: Fraction) -> _DD:
-    hi = float(f)
-    lo = float(f - Fraction(hi))
-    return _DD(*_two_sum(hi, lo))
+# Every evaluation uses this one context, never the caller's thread-local one.
+# 40 significant digits leave a wide margin over the 17 that a double holds.
+_CONTEXT = Context(prec=40)
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +135,27 @@ def sqrt(arg: "RadicalExpr | Fraction | int") -> RadicalExpr:
     return RadicalExpr((RadicalTerm(Fraction(1), radicand),))
 
 
-def _eval_dd(e: RadicalExpr) -> _DD:
-    acc = _DD(0.0, 0.0)
+def _eval_decimal(e: RadicalExpr) -> Decimal:
+    rational = sum((t.coeff for t in e.terms if t.radicand is None), Fraction(0))
+    acc = _CONTEXT.divide(rational.numerator, rational.denominator)
     for t in e.terms:
-        if t.radicand is None:
-            value = _dd_from_fraction(t.coeff)
-        else:
-            inner = _eval_dd(t.radicand)
-            if inner.hi < 0.0:
-                raise NegativeRadicandError(t.radicand, inner.hi)
-            value = _dd_mul(_dd_from_fraction(t.coeff), _dd_sqrt(inner))
-        acc = _dd_add(acc, value)
+        if t.radicand is not None:
+            inner = _eval_decimal(t.radicand)
+            if inner < 0:
+                raise NegativeRadicandError(t.radicand, float(inner))
+            root = _CONTEXT.multiply(t.coeff.numerator, _CONTEXT.sqrt(inner))
+            acc = _CONTEXT.add(acc, _CONTEXT.divide(root, t.coeff.denominator))
     return acc
 
 
 def eval_radical(e: RadicalExpr) -> float:
-    """Evaluate in double-double precision; return the nearest double."""
-    v = _eval_dd(e)
-    return v.hi + v.lo
+    """Evaluate in 40-digit decimal arithmetic; return the nearest double.
+
+    The rational terms of each sum are added exactly before one rounding, so a
+    radicand that is exactly zero evaluates to zero rather than to a rounding
+    residue of either sign.
+    """
+    return float(_eval_decimal(e))
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,6 @@ class CartanMatrix:
     def rank(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
 
 def cartan_matrix(algebra: AlgebraId) -> CartanMatrix:
     """Cartan matrix in the fixed node numbering documented in the module docstring."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toda_spectrum import classical
+from toda_spectrum import classical, masses
 from toda_spectrum.masses import (
     E8_GOLDEN_PAIRS,
     E8_MASS_QUARTICS,
@@ -63,6 +63,26 @@ def test_mass_determinant_closed_form(name):
 
 def test_mass_char_poly_cached_per_algebra():
     assert mass_char_poly("a10") is mass_char_poly(AlgebraId("A", 10))
+
+
+def test_spectrum_both_runs_each_float_solver_once(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("perron_vector", "jacobi_eigen"):
+        monkeypatch.setattr(masses, name, counting(name, getattr(masses, name)))
+    masses._perron_components.cache_clear()
+    masses._mass_squares.cache_clear()
+    spectrum_method1("E8")
+    spectrum_method2("E8")
+    mass_ratio_spread("E8")
+    assert sorted(calls) == ["jacobi_eigen", "perron_vector"]
 
 
 def test_e8_mass_trace_is_twice_coxeter():

@@ -44,12 +44,10 @@ ALL_CLOSED_FORMS = (
 )
 
 
-def test_double_double_evaluation_against_mpmath():
+def test_evaluation_is_the_nearest_double_to_mpmath():
     with mpmath.workdps(50):
         for expr in ALL_CLOSED_FORMS:
-            want = mp_eval(expr)
-            got = eval_radical(expr)
-            assert abs(got - float(want)) <= 1e-15 * abs(float(want))
+            assert eval_radical(expr) == float(mp_eval(expr)), str(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +69,15 @@ def test_first_eigenvalue_closed_form():
     expr = parse_radical("1/2*sqrt(7 + sqrt(5) + sqrt(30 + 6*sqrt(5)))")
     assert abs(eval_radical(expr) - 2 * math.cos(math.pi / 30)) <= 1e-14
     assert f"{eval_radical(expr):.5f}" == "1.98904"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["sqrt(1/10 + 2/10 - 3/10)", "sqrt(1/3 + 1/3 + 1/3 - 1)", "sqrt(19/15 - 1/15 - 6/5)"],
+)
+def test_exactly_zero_rational_radicand_is_zero(text):
+    # each sum is zero in exact arithmetic, though not when added term by term in floats
+    assert eval_radical(parse_radical(text)) == 0.0
 
 
 def test_negative_radicand_names_subtree():

@@ -59,6 +59,20 @@ def test_e8_paper_computes_each_char_poly_once(monkeypatch):
     assert len(calls) == 2  # the adjacency char-poly once, the mass char-poly once
 
 
+def test_e8_paper_computes_the_perron_vector_once(monkeypatch):
+    original = masses.perron_vector
+    calls = []
+
+    def counting(a, normalization):
+        calls.append(a)
+        return original(a, normalization)
+
+    monkeypatch.setattr(masses, "perron_vector", counting)
+    masses._perron_components.cache_clear()
+    SUITES["e8-paper"]()
+    assert len(calls) == 1
+
+
 def test_merged_row_is_judged_like_the_part_nearest_to_failing():
     roots = check("roots", 1e-15, 1e-9)
     ratio = check("ratio", 1e-10, 1e-12)  # above its own tolerance, below the other's
