@@ -8,9 +8,11 @@ covers every closed form this package verifies.
 
 Evaluation runs bottom-up in the standard library's decimal arithmetic at 40
 significant digits, in one fixed context: the rational terms of each sum are
-added exactly as fractions and rounded once, and each term coeff * sqrt(inner)
-uses the correctly rounded decimal square root. The result is then rounded to
-the nearest double, so it is the same on every platform.
+added exactly as fractions and rounded once, square roots of rationals are
+first combined exactly where one is a rational multiple of another (sqrt(8)
+is 2*sqrt(2)), and each remaining term coeff * sqrt(inner) uses the correctly
+rounded decimal square root. The result is then rounded to the nearest double,
+so it is the same on every platform.
 """
 
 from __future__ import annotations
@@ -135,25 +137,66 @@ def sqrt(arg: "RadicalExpr | Fraction | int") -> RadicalExpr:
     return RadicalExpr((RadicalTerm(Fraction(1), radicand),))
 
 
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The square root of q >= 0 when it is rational, else None."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _times_sqrt(coeff: Fraction, radicand: Decimal) -> Decimal:
+    root = _CONTEXT.multiply(coeff.numerator, _CONTEXT.sqrt(radicand))
+    return _CONTEXT.divide(root, coeff.denominator)
+
+
 def _eval_decimal(e: RadicalExpr) -> Decimal:
-    rational = sum((t.coeff for t in e.terms if t.radicand is None), Fraction(0))
-    acc = _CONTEXT.divide(rational.numerator, rational.denominator)
+    # A rational radicand v is folded exactly: into the rational part when v is
+    # a rational square, else into the coefficient of the first surd sqrt(g)
+    # with v / g a rational square. Telling commensurable surds apart this way
+    # needs no factoring of v.
+    rational = Fraction(0)
+    surds: dict[Fraction, Fraction] = {}
+    nested: list[RadicalTerm] = []
     for t in e.terms:
-        if t.radicand is not None:
-            inner = _eval_decimal(t.radicand)
-            if inner < 0:
-                raise NegativeRadicandError(t.radicand, float(inner))
-            root = _CONTEXT.multiply(t.coeff.numerator, _CONTEXT.sqrt(inner))
-            acc = _CONTEXT.add(acc, _CONTEXT.divide(root, t.coeff.denominator))
+        if t.radicand is None:
+            rational += t.coeff
+        elif any(u.radicand is not None for u in t.radicand.terms):
+            nested.append(t)
+        else:
+            v = sum((u.coeff for u in t.radicand.terms), Fraction(0))
+            if v < 0:
+                raise NegativeRadicandError(t.radicand, float(v))
+            r = _rational_sqrt(v)
+            if r is not None:
+                rational += t.coeff * r
+                continue
+            for g in surds:
+                r = _rational_sqrt(v / g)
+                if r is not None:
+                    surds[g] += t.coeff * r
+                    break
+            else:
+                surds[v] = t.coeff
+
+    acc = _CONTEXT.divide(rational.numerator, rational.denominator)
+    for g, coeff in surds.items():
+        acc = _CONTEXT.add(acc, _times_sqrt(coeff, _CONTEXT.divide(g.numerator, g.denominator)))
+    for t in nested:
+        inner = _eval_decimal(t.radicand)
+        if inner < 0:
+            raise NegativeRadicandError(t.radicand, float(inner))
+        acc = _CONTEXT.add(acc, _times_sqrt(t.coeff, inner))
     return acc
 
 
 def eval_radical(e: RadicalExpr) -> float:
     """Evaluate in 40-digit decimal arithmetic; return the nearest double.
 
-    The rational terms of each sum are added exactly before one rounding, so a
-    radicand that is exactly zero evaluates to zero rather than to a rounding
-    residue of either sign.
+    The rational terms of each sum, and the coefficients of commensurable
+    square roots of rationals, are added exactly before one rounding, so a
+    radicand that is exactly zero, such as sqrt(8) - 2*sqrt(2), evaluates to
+    zero rather than to a rounding residue of either sign.
     """
     return float(_eval_decimal(e))
 

@@ -218,26 +218,34 @@ def _symmetrizers(cartan: CartanMatrix) -> tuple[Fraction, ...]:
 def generate_roots(cartan: CartanMatrix, algebra: AlgebraId | None = None) -> RootSystem:
     """Build the positive roots by breadth-first closure under simple reflections.
 
+    Each reflection costs O(n + nonzeros): the pairing with a coroot sums only
+    the nonzero entries of its Cartan column, the diagonal and at most three
+    bonds, and only a reflection that raises the height copies its O(n) image.
+
     Terminates for finite-type input; a matrix sneaking past the determinant
     check but generating more roots than any finite type allows is rejected.
     """
     n = cartan.rank
     cap = 4 * n * n + 40  # safely above every finite-type positive-root count
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    cols = [[(j, row[i]) for j, row in enumerate(cartan.entries) if row[i]] for i in range(n)]
     seen: set[tuple[int, ...]] = set(simple)
     frontier = list(simple)
     while frontier:
         new: list[tuple[int, ...]] = []
         for coeffs in frontier:
-            for i in range(n):
+            for i, col in enumerate(cols):
                 # pairing of the root with coroot i, in coefficient space
-                k = sum(coeffs[j] * cartan.entries[j][i] for j in range(n))
-                if k == 0:
+                k = sum([coeffs[j] * a for j, a in col])
+                # follow only reflections that raise the height (k < 0): a
+                # positive root b that is not simple has k = <b, i> > 0 for
+                # some i, so it is the raised image of the lower root s_i(b)
+                if k >= 0:
                     continue
                 image = list(coeffs)
                 image[i] -= k
                 img = tuple(image)
-                if img not in seen and all(x >= 0 for x in img) and any(img):
+                if img not in seen:
                     seen.add(img)
                     new.append(img)
         if len(seen) > cap:

@@ -4,12 +4,16 @@ A cyclic Jacobi eigensolver for symmetric matrices, left Perron-Frobenius
 vectors by shifted power iteration, and recovery of algebra exponents from
 adjacency eigenvalues. Tolerances are fixed constants so repeated runs are
 bit-identical.
+
+Power iteration visits only the nonzero entries of each column, so a step
+costs O(n + nonzeros); a Dynkin adjacency has at most three per column.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,6 +120,10 @@ def perron_vector(
     ones; the +2 shift keeps bipartite sign structure (top eigenvalue pairs
     +/-) from stalling the iteration. The reported eigenvalue refers to ``a``
     itself.
+
+    Each step costs O(n + nonzeros): the nonzero entries of each column are
+    listed once and summed in row order, which gives the same iterates, bit
+    for bit, as summing over every row, because adding a zero product is exact.
     """
     n = len(a)
     mat = [[float(x) for x in row] for row in a]
@@ -126,13 +134,15 @@ def perron_vector(
             if x < 0.0:
                 raise ValueError("matrix must be nonnegative")
 
+    cols = [[(i, mat[i][j]) for i in range(n) if mat[i][j] != 0.0] for j in range(n)]
+
     def step(vec: list[float]) -> tuple[list[float], float]:
-        w = [sum(vec[i] * mat[i][j] for i in range(n)) + 2.0 * vec[j] for j in range(n)]
+        w = [sum([vec[i] * x for i, x in col]) + 2.0 * vec[j] for j, col in enumerate(cols)]
         top = max(w)
         if top <= 0.0:
             raise ValueError("power iteration collapsed; matrix is not irreducible")
         nxt = [x / top for x in w]
-        return nxt, max(abs(x - y) for x, y in zip(nxt, vec))
+        return nxt, max(map(abs, map(operator.sub, nxt, vec)))
 
     u = [1.0] * n
     for _ in range(_MAX_POWER_ITER):

@@ -80,6 +80,27 @@ def test_exactly_zero_rational_radicand_is_zero(text):
     assert eval_radical(parse_radical(text)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sqrt(sqrt(8) - 2*sqrt(2))",
+        "sqrt(2*sqrt(2) - sqrt(8))",
+        "sqrt(sqrt(18) - 3*sqrt(2))",
+        "sqrt(3*sqrt(2) - sqrt(18))",
+        "sqrt(sqrt(27) - 3*sqrt(3))",
+        "sqrt(3*sqrt(3) - sqrt(27))",
+        "sqrt(sqrt(50) - 5*sqrt(2))",
+        "sqrt(5*sqrt(2) - sqrt(50))",
+        "sqrt(50) - 5*sqrt(2)",
+        "5*sqrt(2) - sqrt(50)",
+        "sqrt(1 + sqrt(8) - 1 - 2*sqrt(2))",
+    ],
+)
+def test_commensurable_square_roots_cancel_exactly(text):
+    # sqrt(8) = 2*sqrt(2): both share one rounded square root, whatever the order
+    assert eval_radical(parse_radical(text)) == 0.0
+
+
 def test_negative_radicand_names_subtree():
     expr = sqrt(RadicalExpr.rational(3) - RadicalExpr.rational(7))
     with pytest.raises(NegativeRadicandError) as exc:

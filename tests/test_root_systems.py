@@ -17,6 +17,8 @@ from toda_spectrum.root_systems import (
 )
 
 ALL_ALGEBRAS = classical.all_algebras(8)
+# the top rank of the float_highrank benchmark workload
+TOP_RANK = ["A31", "B31", "C31", "D31"]
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +80,13 @@ def test_cartan_rejects_bad_entries():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ALL_ALGEBRAS)
+@pytest.mark.parametrize("name", ALL_ALGEBRAS + TOP_RANK)
 def test_positive_root_counts(name):
     rs = root_system(name)
     assert len(rs.positive_roots) == classical.positive_root_count(name[0], int(name[1:]))
 
 
-@pytest.mark.parametrize("name", ALL_ALGEBRAS)
+@pytest.mark.parametrize("name", ALL_ALGEBRAS + TOP_RANK)
 def test_coxeter_numbers(name):
     rs = root_system(name)
     assert rs.coxeter_number == classical.coxeter_number(name[0], int(name[1:]))
@@ -112,6 +114,48 @@ def test_reflection_closure_idempotent(name):
             img = tuple(image)
             if all(x >= 0 for x in img) and any(img):
                 assert img in known
+
+
+def dense_positive_roots(cartan):
+    """Reflection closure with the pairing summed over every Cartan entry, zeros too."""
+    n = cartan.rank
+    seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for coeffs in frontier:
+            for i in range(n):
+                k = sum(coeffs[j] * cartan.entries[j][i] for j in range(n))
+                image = list(coeffs)
+                image[i] -= k
+                img = tuple(image)
+                if img not in seen and all(x >= 0 for x in img) and any(img):
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return tuple(sorted(seen, key=lambda c: (sum(c), c)))
+
+
+@pytest.mark.parametrize("name", classical.all_algebras(12))
+def test_sparse_closure_equals_dense_closure(name):
+    cartan = cartan_matrix(AlgebraId.parse(name))
+    assert generate_roots(cartan).positive_roots == dense_positive_roots(cartan)
+
+
+def _classical_marks(family, rank):
+    # highest-root coefficients in this package's node numbering
+    if family == "A":
+        return (1,) * rank
+    if family == "B":
+        return (1,) + (2,) * (rank - 1)
+    if family == "C":
+        return (2,) * (rank - 1) + (1,)
+    return (1,) + (2,) * (rank - 3) + (1, 1)
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_ALGEBRAS if n[0] in "ABCD"] + TOP_RANK)
+def test_classical_marks(name):
+    assert root_system(name).marks == _classical_marks(name[0], int(name[1:]))
 
 
 def test_e8_highest_root_and_coxeter():

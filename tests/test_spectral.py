@@ -9,7 +9,9 @@ from toda_spectrum.exact_poly import RationalMatrix, char_poly_exact, refine_rea
 from toda_spectrum.masses import adjacency_eigen, adjacency_symmetrized, perron_components
 from toda_spectrum.root_systems import AlgebraId, cartan_matrix, dynkin_adjacency, root_system
 from toda_spectrum.spectral import (
+    POWER_DELTA_TOL,
     PerronNormalization,
+    PerronVector,
     jacobi_eigen,
     perron_vector,
     recover_exponents,
@@ -176,6 +178,66 @@ def test_perron_rejects_negative_entries():
 def test_perron_rejects_reducible():
     with pytest.raises(ValueError):
         perron_vector([[1.0, 0.0], [0.0, 2.0]])
+
+
+def dense_perron(a):
+    """perron_vector's power iteration with a dense step: every product, zeros too."""
+    n = len(a)
+
+    def step(vec):
+        w = [sum(vec[i] * a[i][j] for i in range(n)) + 2.0 * vec[j] for j in range(n)]
+        top = max(w)
+        nxt = [x / top for x in w]
+        return nxt, max(abs(x - y) for x, y in zip(nxt, vec))
+
+    u, delta = step([1.0] * n)
+    while delta >= POWER_DELTA_TOL:
+        u, delta = step(u)
+    for _ in range(200):
+        nxt, nxt_delta = step(u)
+        if nxt_delta >= delta:
+            break
+        u, delta = nxt, nxt_delta
+    k = max(range(n), key=lambda i: u[i])
+    image = [sum(u[i] * a[i][j] for i in range(n)) for j in range(n)]
+    scale = 1.0 / max(u)
+    return PerronVector(tuple(x * scale for x in u), image[k] / u[k])
+
+
+@pytest.mark.parametrize("name", classical.all_algebras(12))
+def test_sparse_perron_is_bit_identical_to_dense(name):
+    a = [[float(v) for v in row] for row in dynkin_adjacency(root_system(name).cartan)]
+    assert perron_vector(a) == dense_perron(a)
+
+
+@st.composite
+def sparse_irreducible_matrices(draw, max_n=7):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    weights = st.floats(min_value=0.25, max_value=4.0)
+    node = st.integers(min_value=0, max_value=n - 1)
+    m = [[0.0] * n for _ in range(n)]
+    for i in range(n):  # a directed cycle through every node: irreducible
+        m[i][(i + 1) % n] = draw(weights)
+    # at most n - 1 more entries, so at least one entry stays zero
+    for i, j, x in draw(st.lists(st.tuples(node, node, weights), max_size=n - 1)):
+        m[i][j] = x
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_irreducible_matrices())
+def test_sparse_perron_is_bit_identical_to_dense_on_random_matrices(a):
+    assert any(x == 0.0 for row in a for x in row)
+    assert perron_vector(a) == dense_perron(a)
+
+
+def test_perron_a31_closed_form():
+    # A_n: component j of the Perron vector is sin(j pi / (n + 1)), max 1 at the middle
+    a = [[float(v) for v in row] for row in dynkin_adjacency(cartan_matrix(AlgebraId("A", 31)))]
+    pv = perron_vector(a)
+    for j, got in enumerate(pv.components, start=1):
+        assert abs(got - math.sin(j * math.pi / 32)) <= 1e-12
+    assert abs(pv.eigenvalue - 2.0 * math.cos(math.pi / 32)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
