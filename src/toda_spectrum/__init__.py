@@ -55,7 +55,6 @@ from .root_systems import (
 )
 from .spectral import (
     EigenDecomposition,
-    PerronNormalization,
     PerronVector,
     jacobi_eigen,
     perron_vector,
@@ -78,7 +77,6 @@ __all__ = [
     "MassMethod",
     "NegativeRadicandError",
     "NormalizationInfo",
-    "PerronNormalization",
     "PerronVector",
     "RadicalExpr",
     "RationalMatrix",

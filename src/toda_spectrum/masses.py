@@ -35,7 +35,7 @@ from .root_systems import (
     embed_roots,
     root_system,
 )
-from .spectral import EigenDecomposition, PerronNormalization, jacobi_eigen, perron_vector
+from .spectral import EigenDecomposition, jacobi_eigen, perron_vector
 
 E8 = AlgebraId("E", 8)
 
@@ -212,21 +212,21 @@ def adjacency_eigen(algebra: AlgebraId | str) -> EigenDecomposition:
     return jacobi_eigen(adjacency_symmetrized(root_system(algebra)))
 
 
-def perron_components(
-    algebra: AlgebraId | str,
-    normalization: PerronNormalization = PerronNormalization.FIRST_COMPONENT,
-) -> tuple[float, ...]:
+def perron_components(algebra: AlgebraId | str) -> tuple[float, ...]:
     """Left Perron-Frobenius components of the adjacency matrix, node-indexed.
 
-    Cached per algebra and normalization, like ``mass_char_poly``.
+    Scaled so the first component is 2 sin(theta), where the top eigenvalue is
+    2 cos(theta). Cached per algebra, like ``mass_char_poly``.
     """
-    return _perron_components(AlgebraId.of(algebra), normalization)
+    return _perron_components(AlgebraId.of(algebra))
 
 
 @functools.lru_cache(maxsize=None)
-def _perron_components(aid: AlgebraId, normalization: PerronNormalization) -> tuple[float, ...]:
+def _perron_components(aid: AlgebraId) -> tuple[float, ...]:
     a = [[float(v) for v in row] for row in dynkin_adjacency(root_system(aid).cartan)]
-    return perron_vector(a, normalization).components
+    pv = perron_vector(a)
+    scale = 2.0 * math.sin(math.acos(pv.eigenvalue / 2.0)) / pv.components[0]
+    return tuple(x * scale for x in pv.components)
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,7 +271,7 @@ def spectrum_method1(algebra: AlgebraId | str) -> Spectrum:
     """
     aid = AlgebraId.of(algebra)
     rs = root_system(aid)
-    u = perron_components(aid, PerronNormalization.FIRST_COMPONENT)
+    u = perron_components(aid)
     scale = _mass_scale(rs, u)
     root_scale = math.sqrt(scale)
     masses = [root_scale * x for x in u]

@@ -209,6 +209,8 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(sqrt)|([()+\-*/]))")
 
 
 def _tokenize(text: str) -> Iterator[str]:
+    # each match eats the whitespace before a token, so drop what trails the last
+    text = text.rstrip()
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -216,9 +218,6 @@ def _tokenize(text: str) -> Iterator[str]:
             raise ValueError(f"bad radical syntax at {text[pos:]!r}")
         pos = m.end()
         yield m.group(1) or m.group(2) or m.group(3)
-    remainder = text[pos:].strip()
-    if remainder:
-        raise ValueError(f"bad radical syntax at {remainder!r}")
 
 
 class _Parser:

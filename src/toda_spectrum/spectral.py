@@ -11,7 +11,6 @@ costs O(n + nonzeros); a Dynkin adjacency has at most three per column.
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from dataclasses import dataclass
@@ -45,13 +44,6 @@ class PerronVector:
 
     components: tuple[float, ...]
     eigenvalue: float
-
-
-class PerronNormalization(enum.Enum):
-    # first component fixed to 2 sin(theta) where the top eigenvalue is 2 cos(theta)
-    FIRST_COMPONENT = "first"
-    MAX_COMPONENT = "max"
-    UNIT_NORM = "unit"
 
 
 def jacobi_eigen(m: Matrix) -> EigenDecomposition:
@@ -111,10 +103,8 @@ def jacobi_eigen(m: Matrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues, eigenvectors)
 
 
-def perron_vector(
-    a: Matrix, normalization: PerronNormalization = PerronNormalization.MAX_COMPONENT
-) -> PerronVector:
-    """Left Perron-Frobenius vector of a nonnegative irreducible matrix.
+def perron_vector(a: Matrix) -> PerronVector:
+    """Left Perron-Frobenius vector of a nonnegative irreducible matrix, max component 1.
 
     Power iteration runs on (a + 2I) acting on row vectors, starting from all
     ones; the +2 shift keeps bipartite sign structure (top eigenvalue pairs
@@ -169,19 +159,7 @@ def perron_vector(
     image = [sum(u[i] * mat[i][j] for i in range(n)) for j in range(n)]
     eigenvalue = image[k] / u[k]
 
-    if normalization is PerronNormalization.MAX_COMPONENT:
-        scale = 1.0 / max(u)
-    elif normalization is PerronNormalization.UNIT_NORM:
-        scale = 1.0 / math.sqrt(sum(x * x for x in u))
-    else:
-        if abs(eigenvalue) > 2.0:
-            raise ValueError(
-                "first-component normalization needs a top eigenvalue of the form "
-                "2 cos(theta); got a value outside [-2, 2]"
-            )
-        theta = math.acos(eigenvalue / 2.0)
-        scale = 2.0 * math.sin(theta) / u[0]
-    return PerronVector(tuple(x * scale for x in u), eigenvalue)
+    return PerronVector(tuple(u), eigenvalue)
 
 
 def recover_exponents(eigenvalues: Sequence[float], h: int) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ from toda_spectrum.radicals import (
     radical_identity_suite,
 )
 from toda_spectrum.root_systems import cartan_matrix, dynkin_adjacency, root_system
-from toda_spectrum.spectral import PerronNormalization, jacobi_eigen, recover_exponents
+from toda_spectrum.spectral import jacobi_eigen, recover_exponents
 
 
 def _report(number: int, text: str) -> None:
@@ -55,7 +55,7 @@ def test_criterion_02_mass_charpoly_and_factorization_exact():
 
 
 def test_criterion_03_perron_vector_reference_and_recurrences():
-    u = perron_components("E8", PerronNormalization.FIRST_COMPONENT)
+    u = perron_components("E8")
     assert abs(u[4] - 1.0) <= 1e-12  # component 5 normalises to 1
     reference = (0.2091, 0.4158, 0.6180, 0.8135, 1.0, 0.6728, 0.3383, 0.5028)
     assert max(abs(a - b) for a, b in zip(u, reference)) <= 5e-5

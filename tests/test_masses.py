@@ -22,7 +22,7 @@ from toda_spectrum.masses import (
     spectrum_method1,
     spectrum_method2,
 )
-from toda_spectrum.root_systems import AlgebraId, _det_exact, root_system
+from toda_spectrum.root_systems import AlgebraId, root_system
 from toda_spectrum.spectral import jacobi_eigen
 
 ADE = classical.simply_laced_algebras(8)
@@ -52,12 +52,17 @@ def test_e8_mass_charpoly_exact():
     ]
 
 
+def _classical_cartan_det(family, rank):
+    return {"A": rank + 1, "B": 2, "C": 2, "D": 4, "E": 9 - rank, "F": 1, "G": 1}[family]
+
+
 @pytest.mark.parametrize("name", classical.all_algebras(10))
 def test_mass_determinant_closed_form(name):
     # K = diag(marks) + marks marks^T with n_0 = 1, so det K = prod(marks) (1 + sum(marks))
-    # = h prod(marks), and det(KG) = h prod(marks) det(G)
+    # = h prod(marks), and det(KG) = h prod(marks) det(G), where G = C diag(symmetrizers)
     rs = root_system(name)
-    det = rs.coxeter_number * math.prod(rs.marks) * _det_exact([list(r) for r in rs.gram])
+    det_g = _classical_cartan_det(name[0], int(name[1:])) * math.prod(rs.symmetrizers)
+    det = rs.coxeter_number * math.prod(rs.marks) * det_g
     assert mass_char_poly(name).coefficients[0] == (-1) ** rs.rank * det
 
 

@@ -155,6 +155,14 @@ def test_parse_unary_minus_and_rationals():
     assert eval_radical(parse_radical("2*3")) == 6.0
 
 
+@pytest.mark.parametrize(
+    "text, plain",
+    [("sqrt(5) ", "sqrt(5)"), ("1\n", "1"), ("  (1 + sqrt(5))/2 \n", "(1 + sqrt(5))/2")],
+)
+def test_parse_ignores_leading_and_trailing_whitespace(text, plain):
+    assert str(parse_radical(text)) == str(parse_radical(plain))
+
+
 @pytest.mark.parametrize("bad", ["sqrt(", "1 +", "(2", "sqrt 5", "2.5", "x + 1", "1/sqrt(2)"])
 def test_parse_rejects_bad_syntax(bad):
     with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toda_spectrum import classical
 from toda_spectrum.root_systems import (
@@ -73,6 +76,93 @@ def test_cartan_rejects_bad_entries():
         CartanMatrix(((2, -1), (0, 2)))  # asymmetric zero pattern
     with pytest.raises(InvalidAlgebraError):
         CartanMatrix(((1, 0), (0, 2)))  # diagonal
+
+
+def _bonded(n, bonds):
+    """Cartan entries on n nodes, with bonds given as {(i, j): (C_ij, C_ji)}."""
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), (cij, cji) in bonds.items():
+        c[i][j], c[j][i] = cij, cji
+    return tuple(map(tuple, c))
+
+
+# two 5-leaf stars, centred on nodes 5 and 7, joined through node 6
+DOUBLE_STAR = _bonded(
+    13,
+    {(i, 5): (-1, -1) for i in (0, 1, 2, 3, 4, 6)}
+    | {(7, j): (-1, -1) for j in (6, 8, 9, 10, 11, 12)},
+)
+
+
+def test_double_star_rejected_although_its_determinant_is_positive():
+    assert _det([[Fraction(v) for v in row] for row in DOUBLE_STAR]) == 1536
+    with pytest.raises(InvalidAlgebraError, match="pivot -1/2 at node 7 is not positive"):
+        CartanMatrix(DOUBLE_STAR)
+
+
+def test_disconnected_diagram_rejected_when_built():
+    with pytest.raises(InvalidAlgebraError, match="not a connected tree"):
+        CartanMatrix(((2, 0), (0, 2)))  # A1 x A1
+
+
+def test_cycle_rejected_as_not_a_tree():
+    with pytest.raises(InvalidAlgebraError, match="not a connected tree"):
+        CartanMatrix(_bonded(3, {(0, 1): (-1, -1), (1, 2): (-1, -1), (0, 2): (-1, -1)}))
+
+
+BOND_PAIRS = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2)]
+
+
+@st.composite
+def small_diagrams(draw):
+    """Cartan candidates on up to 6 nodes: a random forest plus a few extra bonds."""
+    n = draw(st.integers(1, 6))
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n) if draw(st.integers(0, 5))}
+    if n > 1:
+        all_pairs = list(itertools.combinations(range(n), 2))
+        pairs |= draw(st.sets(st.sampled_from(all_pairs), max_size=2))
+    return _bonded(n, {pair: draw(st.sampled_from(BOND_PAIRS)) for pair in sorted(pairs)})
+
+
+def _connected(entries):
+    reached, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        new = {j for j, v in enumerate(entries[i]) if v} - reached
+        reached |= new
+        todo += new
+    return len(reached) == len(entries)
+
+
+def _principal_minors_positive(entries):
+    n = len(entries)
+    return all(
+        _det([[Fraction(entries[i][j]) for j in nodes] for i in nodes]) > 0
+        for k in range(1, n + 1)
+        for nodes in itertools.combinations(range(n), k)
+    )
+
+
+@given(small_diagrams())
+def test_finite_type_exactly_when_connected_with_positive_principal_minors(entries):
+    # Kac, Infinite-dimensional Lie algebras, Thm 4.3: an indecomposable
+    # generalized Cartan matrix is of finite type iff all its principal minors
+    # are positive
+    want = _connected(entries) and _principal_minors_positive(entries)
+    try:
+        CartanMatrix(entries)
+        accepted = True
+    except InvalidAlgebraError:
+        accepted = False
+    assert accepted == want
+
+
+@pytest.mark.parametrize(
+    "name", classical.all_algebras(14) + [f + str(r) for f in "ABCD" for r in (19, 25, 31, 64)]
+)
+def test_every_supported_algebra_is_of_finite_type(name):
+    cartan = cartan_matrix(AlgebraId.parse(name))
+    assert CartanMatrix(cartan.entries) == cartan
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from toda_spectrum.masses import adjacency_eigen, adjacency_symmetrized, perron_
 from toda_spectrum.root_systems import AlgebraId, cartan_matrix, dynkin_adjacency, root_system
 from toda_spectrum.spectral import (
     POWER_DELTA_TOL,
-    PerronNormalization,
     PerronVector,
     jacobi_eigen,
     perron_vector,
@@ -96,7 +95,7 @@ def test_perron_a2_components_equal():
 
 
 def test_perron_e8_closed_forms():
-    u = perron_components("E8", PerronNormalization.FIRST_COMPONENT)
+    u = perron_components("E8")
     th = math.pi / 30
     closed = (
         2 * math.sin(th),
@@ -113,7 +112,7 @@ def test_perron_e8_closed_forms():
 
 
 def test_perron_e8_four_decimal_reference():
-    u = perron_components("E8", PerronNormalization.FIRST_COMPONENT)
+    u = perron_components("E8")
     reference = (0.2091, 0.4158, 0.6180, 0.8135, 1.0, 0.6728, 0.3383, 0.5028)
     for got, want in zip(u, reference):
         assert abs(got - want) <= 5e-5
@@ -121,7 +120,7 @@ def test_perron_e8_four_decimal_reference():
 
 def test_perron_e8_recurrences():
     # the left eigenproblem written out per node: neighbour sums against lambda
-    u = perron_components("E8", PerronNormalization.FIRST_COMPONENT)
+    u = perron_components("E8")
     lam = 2.0 * math.cos(math.pi / 30)
     u1, u2, u3, u4, u5, u6, u7, u8 = u
     residuals = (
@@ -138,18 +137,18 @@ def test_perron_e8_recurrences():
 
 
 def test_perron_first_component_normalization():
-    u = perron_components("E8", PerronNormalization.FIRST_COMPONENT)
+    u = perron_components("E8")
     assert abs(u[0] - 2.0 * math.sin(math.pi / 30)) <= 1e-14
     assert abs(u[4] - 1.0) <= 1e-12  # branch-node component lands at 1
 
 
 def test_perron_normalization_scales_only():
-    u_max = perron_components("E8", PerronNormalization.MAX_COMPONENT)
-    u_unit = perron_components("E8", PerronNormalization.UNIT_NORM)
-    assert abs(max(u_max) - 1.0) <= 1e-15
-    assert abs(sum(x * x for x in u_unit) - 1.0) <= 1e-14
-    for a, b in zip(u_max, u_unit):
-        assert abs(a / b - u_max[0] / u_unit[0]) <= 1e-12
+    a = [[float(v) for v in row] for row in dynkin_adjacency(cartan_matrix(AlgebraId("E", 8)))]
+    u_max = perron_vector(a).components
+    u_first = perron_components("E8")
+    assert max(u_max) == 1.0
+    for x, y in zip(u_max, u_first):
+        assert abs(x / y - u_max[0] / u_first[0]) <= 1e-12
 
 
 def test_perron_left_vector_on_nonsymmetric_adjacency():

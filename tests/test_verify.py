@@ -63,9 +63,9 @@ def test_e8_paper_computes_the_perron_vector_once(monkeypatch):
     original = masses.perron_vector
     calls = []
 
-    def counting(a, normalization):
+    def counting(a):
         calls.append(a)
-        return original(a, normalization)
+        return original(a)
 
     monkeypatch.setattr(masses, "perron_vector", counting)
     masses._perron_components.cache_clear()
