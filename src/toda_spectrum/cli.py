@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -78,6 +79,13 @@ def _algebra(text: str) -> AlgebraId:
         return AlgebraId.parse(text)
     except InvalidAlgebraError as exc:
         raise click.UsageError(str(exc))
+
+
+def _tolerance(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
+    """Reject a ``--tolerance`` that is negative, infinite or NaN, as a usage error."""
+    if value is not None and not 0.0 <= value < math.inf:
+        raise click.BadParameter(f"{value} is not a finite nonnegative number")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -143,6 +151,7 @@ def _ratio_rows(spec: Spectrum, tolerance: float) -> list[dict]:
     type=float,
     default=1e-9,
     show_default=True,
+    callback=_tolerance,
     help="Relative window for flagging golden-ratio mass ratios.",
 )
 def spectrum(algebra: str, method: str, normalize: str, fmt: str, tolerance: float) -> None:
@@ -229,6 +238,7 @@ def spectrum(algebra: str, method: str, normalize: str, fmt: str, tolerance: flo
     "--tolerance",
     type=float,
     default=None,
+    callback=_tolerance,
     help="Override every check tolerance with one value.",
 )
 def verify(scope: str, fmt: str, tolerance: float | None) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -16,6 +16,10 @@ class CheckResult:
     detail: str = ""
 
 
+class ExactCheckResult(CheckResult):
+    """A check on an exact condition, whose verdict no tolerance can change."""
+
+
 @dataclass(frozen=True)
 class CheckReport:
     checks: tuple[CheckResult, ...]
@@ -25,8 +29,19 @@ class CheckReport:
         return all(c.passed for c in self.checks)
 
     def with_tolerance(self, tolerance: float) -> "CheckReport":
-        """The same residuals, each judged against one blanket ``tolerance``."""
-        return CheckReport(tuple(check(c.name, c.residual, tolerance, c.detail) for c in self))
+        """The same residuals, each judged against one blanket ``tolerance``.
+
+        Exact checks keep their verdict and show the override only as their
+        tolerance.
+        """
+        return CheckReport(
+            tuple(
+                replace(c, tolerance=tolerance)
+                if isinstance(c, ExactCheckResult)
+                else check(c.name, c.residual, tolerance, c.detail)
+                for c in self
+            )
+        )
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -51,4 +66,4 @@ def check(name: str, residual: float, tolerance: float, detail: str = "") -> Che
 
 def check_exact(name: str, ok: bool, detail: str = "") -> CheckResult:
     """A check on an exact (all-or-nothing) condition; residual is 0 or 1."""
-    return CheckResult(name, 0.0 if ok else 1.0, 0.0, ok, detail)
+    return ExactCheckResult(name, 0.0 if ok else 1.0, 0.0, ok, detail)

@@ -5,6 +5,11 @@ vectors over the simple roots, inner products as rationals. Floating point
 enters only in :func:`embed_roots`, which realises roots as Euclidean vectors
 through a Cholesky factorisation of the Gram matrix.
 
+The spectra need only the Gram form and the marks of the highest root, so
+:func:`generate_roots` finds the highest root by one raising walk from a long
+simple root and builds no positive root set; the full set is closed only when
+:attr:`RootSystem.positive_roots` is first read.
+
 Node numbering follows one fixed convention per family: chains are numbered
 left to right, and a branch node, where present, is attached last (node
 ``rank`` hangs off node ``rank - 2`` in the D family and off node ``rank - 3``
@@ -189,16 +194,17 @@ def dynkin_adjacency(cartan: CartanMatrix) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A full positive root system with highest root, marks and Coxeter number.
+    """A root system given by its Cartan matrix, with highest root, marks and Coxeter number.
 
-    ``positive_roots`` are integer coefficient vectors over the simple roots,
-    sorted by (height, vector). ``symmetrizers[i]`` is half the squared length
-    of simple root i; ``gram[i][j]`` is the inner product of simple roots i, j.
+    ``symmetrizers[i]`` is half the squared length of simple root i;
+    ``gram[i][j]`` is the inner product of simple roots i, j. ``marks`` are the
+    coefficients of the highest root over the simple roots, and the Coxeter
+    number is one plus their sum. The positive roots are built only when
+    :attr:`positive_roots` is first read.
     """
 
     algebra: AlgebraId | None
     cartan: CartanMatrix
-    positive_roots: tuple[tuple[int, ...], ...]
     symmetrizers: tuple[Fraction, ...]
     gram: tuple[tuple[Fraction, ...], ...]
     highest_root: tuple[int, ...]
@@ -208,6 +214,44 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.cartan.rank
+
+    @functools.cached_property
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        """Positive roots as integer coefficient vectors, sorted by (height, vector).
+
+        Built on first read by breadth-first closure under simple reflections,
+        then kept on the instance. Each reflection costs O(n + nonzeros): the
+        pairing with a coroot sums only the nonzero entries of its Cartan
+        column, the diagonal and at most three bonds, and only a reflection
+        that raises the height copies its O(n) image. Terminates because every
+        :class:`CartanMatrix` is of finite type, so its root system is finite.
+        """
+        n = self.rank
+        simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        cols = [
+            [(j, row[i]) for j, row in enumerate(self.cartan.entries) if row[i]] for i in range(n)
+        ]
+        seen: set[tuple[int, ...]] = set(simple)
+        frontier = list(simple)
+        while frontier:
+            new: list[tuple[int, ...]] = []
+            for coeffs in frontier:
+                for i, col in enumerate(cols):
+                    # pairing of the root with coroot i, in coefficient space
+                    k = sum([coeffs[j] * a for j, a in col])
+                    # follow only reflections that raise the height (k < 0): a
+                    # positive root b that is not simple has k = <b, i> > 0 for
+                    # some i, so it is the raised image of the lower root s_i(b)
+                    if k >= 0:
+                        continue
+                    image = list(coeffs)
+                    image[i] -= k
+                    img = tuple(image)
+                    if img not in seen:
+                        seen.add(img)
+                        new.append(img)
+            frontier = new
+        return tuple(sorted(seen, key=lambda c: (sum(c), c)))
 
 
 def _symmetrizers(cartan: CartanMatrix) -> tuple[Fraction, ...]:
@@ -220,53 +264,67 @@ def _symmetrizers(cartan: CartanMatrix) -> tuple[Fraction, ...]:
     return tuple(x / top for x in d)
 
 
+def _bonds(cartan: CartanMatrix) -> list[list[tuple[int, int]]]:
+    """Per node i, the nonzero entries ``(j, C_ij)`` of its Cartan row, the diagonal included."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in cartan.entries]
+
+
+def _raise_to_dominant(bonds: list[list[tuple[int, int]]], start: int) -> tuple[int, ...]:
+    """Raise simple root ``start`` by simple reflections until no pairing is negative.
+
+    ``pairing[i]`` is the pairing of the current root with coroot i. While one
+    is negative, reflecting in that simple root raises the height and keeps the
+    root positive; only the pairings of the node and its neighbours change, so
+    a step costs O(1 + bonds at the node). The walk stays in the Weyl orbit of
+    the start, and a finite orbit holds exactly one dominant root, where it
+    ends: the highest root from a long start, the highest short root from a
+    short one (Bourbaki, *Lie groups* ch. VI).
+    """
+    root = [0] * len(bonds)
+    root[start] = 1
+    pairing = [0] * len(bonds)
+    for j, v in bonds[start]:
+        pairing[j] = v
+    # every node with a negative pairing is on the stack exactly once: only a
+    # reflected node's own pairing rises, and it is popped before it is reflected
+    negative = [i for i, k in enumerate(pairing) if k < 0]
+    while negative:
+        i = negative.pop()
+        k = pairing[i]
+        root[i] -= k
+        for j, v in bonds[i]:
+            was = pairing[j]
+            pairing[j] -= k * v
+            if pairing[j] < 0 <= was:
+                negative.append(j)
+    return tuple(root)
+
+
 def generate_roots(cartan: CartanMatrix, algebra: AlgebraId | None = None) -> RootSystem:
-    """Build the positive roots by breadth-first closure under simple reflections.
+    """The root system of ``cartan``: symmetrizers, Gram form, highest root, marks, h.
 
-    Each reflection costs O(n + nonzeros): the pairing with a coroot sums only
-    the nonzero entries of its Cartan column, the diagonal and at most three
-    bonds, and only a reflection that raises the height copies its O(n) image.
-
-    Terminates because every :class:`CartanMatrix` is of finite type, so its
-    root system is finite.
+    The highest root comes from one raising walk (:func:`_raise_to_dominant`)
+    started at a long simple root; it takes at most h - 2 steps, and no
+    positive root set is built. The Gram matrix is filled from the nonzero
+    Cartan entries, all zeros sharing one ``Fraction``, so a build makes
+    O(n + bonds) new ``Fraction`` objects rather than n^2.
     """
     n = cartan.rank
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    cols = [[(j, row[i]) for j, row in enumerate(cartan.entries) if row[i]] for i in range(n)]
-    seen: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new: list[tuple[int, ...]] = []
-        for coeffs in frontier:
-            for i, col in enumerate(cols):
-                # pairing of the root with coroot i, in coefficient space
-                k = sum([coeffs[j] * a for j, a in col])
-                # follow only reflections that raise the height (k < 0): a
-                # positive root b that is not simple has k = <b, i> > 0 for
-                # some i, so it is the raised image of the lower root s_i(b)
-                if k >= 0:
-                    continue
-                image = list(coeffs)
-                image[i] -= k
-                img = tuple(image)
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
-
-    positive = tuple(sorted(seen, key=lambda c: (sum(c), c)))
-    highest = positive[-1]
-
     d = _symmetrizers(cartan)
-    gram = tuple(
-        tuple(Fraction(cartan.entries[i][j]) * d[j] for j in range(n)) for i in range(n)
-    )
+    bonds = _bonds(cartan)
+    zero = Fraction(0)
+    gram = []
+    for row in bonds:
+        g = [zero] * n
+        for j, v in row:
+            g[j] = v * d[j]
+        gram.append(tuple(g))
+    highest = _raise_to_dominant(bonds, d.index(1))
     return RootSystem(
         algebra=algebra,
         cartan=cartan,
-        positive_roots=positive,
         symmetrizers=d,
-        gram=gram,
+        gram=tuple(gram),
         highest_root=highest,
         marks=highest,
         coxeter_number=1 + sum(highest),

@@ -225,3 +225,12 @@ def test_inspect_exponents_e8():
 def test_inspect_bad_argument_exits_2():
     result = runner.invoke(main, ["inspect", "E8", "everything"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("command", [["verify", "e8-paper"], ["spectrum", "E8"]])
+def test_tolerance_not_finite_and_nonnegative_is_a_usage_error(command, value):
+    result = runner.invoke(main, [*command, f"--tolerance={value}"])
+    assert result.exit_code == 2
+    assert "is not a finite nonnegative number" in result.output
+    assert "PASS" not in result.output and "particle" not in result.output

@@ -1,16 +1,20 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_spectrum import classical
+import toda_spectrum as ts
+from toda_spectrum import classical, masses, root_systems
 from toda_spectrum.root_systems import (
     AlgebraId,
     CartanMatrix,
     InvalidAlgebraError,
+    _bonds,
+    _raise_to_dominant,
     cartan_matrix,
     dynkin_adjacency,
     embed_coefficients,
@@ -230,6 +234,97 @@ def dense_positive_roots(cartan):
 def test_sparse_closure_equals_dense_closure(name):
     cartan = cartan_matrix(AlgebraId.parse(name))
     assert generate_roots(cartan).positive_roots == dense_positive_roots(cartan)
+
+
+def _walk_agrees_with_closure(cartan):
+    rs = generate_roots(cartan)
+    assert "positive_roots" not in vars(rs)
+    theta = rs.positive_roots[-1]
+    assert rs.highest_root == rs.marks == theta
+    assert rs.coxeter_number == 1 + sum(theta)
+    # |positive roots| = rank * h / 2, a count the walk never sees
+    assert rs.coxeter_number * rs.rank == 2 * len(rs.positive_roots)
+
+
+@pytest.mark.parametrize(
+    "name",
+    classical.all_algebras(14)
+    + [f + str(r) for f in "ABCD" for r in range(19, 32)]
+    + ["A64", "D48"],
+)
+def test_raising_walk_ends_at_the_closures_highest_root(name):
+    _walk_agrees_with_closure(cartan_matrix(AlgebraId.parse(name)))
+
+
+@settings(max_examples=400)
+@given(small_diagrams())
+def test_raising_walk_ends_at_the_closures_highest_root_on_random_diagrams(entries):
+    # about one drawn diagram in twelve is of finite type
+    try:
+        cartan = CartanMatrix(entries)
+    except InvalidAlgebraError:
+        return
+    _walk_agrees_with_closure(cartan)
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "B6", "C2", "C3", "C6", "F4", "G2"])
+def test_raising_walk_needs_a_long_start(name):
+    # from a short simple root the walk ends at the highest short root, not at theta
+    rs = root_system(name)
+    n = rs.rank
+    short = [
+        r
+        for r in rs.positive_roots
+        if sum(r[i] * rs.gram[i][j] * r[j] for i in range(n) for j in range(n)) < 2
+    ]
+    for start, d in enumerate(rs.symmetrizers):
+        end = _raise_to_dominant(_bonds(rs.cartan), start)
+        if d == 1:
+            assert end == rs.highest_root
+        else:
+            assert end == short[-1] != rs.highest_root
+
+
+def _exponents(name):
+    return ts.recover_exponents(
+        ts.adjacency_eigen(name).eigenvalues, ts.root_system(name).coxeter_number
+    )
+
+
+def _spectrum_both(name):
+    return ts.spectrum_method1(name), ts.spectrum_method2(name), ts.mass_ratio_spread(name)
+
+
+# the request kinds of the benchmark's float_highrank and exact_midrank workloads
+FLOAT_KINDS = (ts.spectrum_method2, ts.perron_components, _exponents)
+EXACT_KINDS = (_spectrum_both, ts.mass_char_poly)
+
+
+@pytest.mark.parametrize(
+    "name, kinds",
+    [
+        pytest.param(n, FLOAT_KINDS + EXACT_KINDS, id=n)
+        for n in ("A14", "B9", "C10", "D14", "E8", "F4", "G2")
+    ]
+    + [pytest.param(n, FLOAT_KINDS, id=n) for n in TOP_RANK],
+)
+def test_spectra_never_build_the_positive_roots(name, kinds, monkeypatch):
+    aid = AlgebraId.parse(name)
+    rs = generate_roots(cartan_matrix(aid), aid)
+    lookups = []
+    monkeypatch.setattr(root_systems, "_root_system", lambda a: lookups.append(a) or rs)
+    # fresh per-algebra caches, so every request recomputes from rs
+    for cached in ("_mass_char_poly", "_perron_components", "_mass_squares"):
+        fn = getattr(masses, cached).__wrapped__
+        monkeypatch.setattr(masses, cached, functools.lru_cache(maxsize=None)(fn))
+    for kind in kinds:
+        kind(name)
+    assert lookups and set(lookups) == {aid}
+    assert "positive_roots" not in vars(rs)
+    roots = rs.positive_roots
+    assert roots == dense_positive_roots(rs.cartan)
+    assert vars(rs)["positive_roots"] is roots
+    assert rs.positive_roots is roots
 
 
 def _classical_marks(family, rank):

@@ -1,6 +1,6 @@
 from toda_spectrum import masses
 from toda_spectrum.masses import CONSISTENCY_TOL
-from toda_spectrum.report import check
+from toda_spectrum.report import CheckReport, check, check_exact
 from toda_spectrum.verify import SUITES, _merged_check
 
 E8_TABLE = [
@@ -85,3 +85,12 @@ def test_merged_row_is_judged_like_the_part_nearest_to_failing():
     merged = _merged_check("mass-closed-forms", roots, ratio)
     assert (merged.residual, merged.tolerance, merged.passed) == (5e-13, 1e-12, True)
     assert merged.detail == f"{roots.detail}; {ratio.detail}"
+
+
+def test_with_tolerance_keeps_exact_checks_exact():
+    failed = CheckReport((check_exact("x", False),))
+    loose = failed.with_tolerance(1.0)
+    assert (loose["x"].residual, loose["x"].tolerance, loose["x"].passed) == (1.0, 1.0, False)
+    assert not loose.all_passed
+    assert CheckReport((check_exact("x", True),)).with_tolerance(0.0).all_passed
+    assert CheckReport((check("y", 1.0, 0.0),)).with_tolerance(1.0).all_passed  # re-judged
