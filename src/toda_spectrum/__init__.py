@@ -17,6 +17,7 @@ from .exact_poly import (
 from .masses import (
     E8,
     GOLDEN_RATIO,
+    AdjacencyEigenvalues,
     ConsistencyError,
     MassMatrixExact,
     MassMethod,
@@ -59,11 +60,13 @@ from .spectral import (
     jacobi_eigen,
     perron_vector,
     recover_exponents,
+    symmetric_eigenvalues,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "AdjacencyEigenvalues",
     "AlgebraId",
     "CartanMatrix",
     "CheckReport",
@@ -108,4 +111,5 @@ __all__ = [
     "spectrum_method1",
     "spectrum_method2",
     "sqrt",
+    "symmetric_eigenvalues",
 ]

@@ -35,7 +35,7 @@ from .root_systems import (
     embed_roots,
     root_system,
 )
-from .spectral import EigenDecomposition, jacobi_eigen, perron_vector
+from .spectral import perron_vector, symmetric_eigenvalues
 
 E8 = AlgebraId("E", 8)
 
@@ -207,9 +207,16 @@ def adjacency_symmetrized(rs: RootSystem) -> list[list[float]]:
     ]
 
 
-def adjacency_eigen(algebra: AlgebraId | str) -> EigenDecomposition:
-    """Eigen-decomposition of the adjacency spectrum via the symmetrized similar matrix."""
-    return jacobi_eigen(adjacency_symmetrized(root_system(algebra)))
+@dataclass(frozen=True)
+class AdjacencyEigenvalues:
+    """Eigenvalues of the Dynkin adjacency matrix 2I - C, in descending order."""
+
+    eigenvalues: tuple[float, ...]
+
+
+def adjacency_eigen(algebra: AlgebraId | str) -> AdjacencyEigenvalues:
+    """Adjacency eigenvalues, from the symmetrized similar matrix (no eigenvectors)."""
+    return AdjacencyEigenvalues(symmetric_eigenvalues(adjacency_symmetrized(root_system(algebra))))
 
 
 def perron_components(algebra: AlgebraId | str) -> tuple[float, ...]:
@@ -232,7 +239,7 @@ def _perron_components(aid: AlgebraId) -> tuple[float, ...]:
 @functools.lru_cache(maxsize=None)
 def _mass_squares(aid: AlgebraId) -> tuple[float, ...]:
     """Mass-matrix eigenvalues in ascending order, computed once per algebra."""
-    squares_desc = jacobi_eigen(mass_matrix_embedded(aid)).eigenvalues
+    squares_desc = symmetric_eigenvalues(mass_matrix_embedded(aid))
     if squares_desc[-1] <= 0.0:
         raise ConsistencyError(
             f"mass matrix of {aid} produced a nonpositive eigenvalue: {squares_desc[-1]}"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,12 @@ class CheckReport:
     def with_tolerance(self, tolerance: float) -> "CheckReport":
         """The same residuals, each judged against one blanket ``tolerance``.
 
-        Exact checks keep their verdict and show the override only as their
-        tolerance.
+        Exact checks are left as they are, verdict and tolerance (0) alike, so
+        a row never reads |residual| <= tolerance and FAIL.
         """
         return CheckReport(
             tuple(
-                replace(c, tolerance=tolerance)
+                c
                 if isinstance(c, ExactCheckResult)
                 else check(c.name, c.residual, tolerance, c.detail)
                 for c in self

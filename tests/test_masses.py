@@ -80,14 +80,14 @@ def test_spectrum_both_runs_each_float_solver_once(monkeypatch):
 
         return wrapper
 
-    for name in ("perron_vector", "jacobi_eigen"):
+    for name in ("perron_vector", "symmetric_eigenvalues"):
         monkeypatch.setattr(masses, name, counting(name, getattr(masses, name)))
     masses._perron_components.cache_clear()
     masses._mass_squares.cache_clear()
     spectrum_method1("E8")
     spectrum_method2("E8")
     mass_ratio_spread("E8")
-    assert sorted(calls) == ["jacobi_eigen", "perron_vector"]
+    assert sorted(calls) == ["perron_vector", "symmetric_eigenvalues"]
 
 
 def test_e8_mass_trace_is_twice_coxeter():

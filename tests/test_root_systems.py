@@ -128,6 +128,26 @@ def small_diagrams(draw):
     return _bonded(n, {pair: draw(st.sampled_from(BOND_PAIRS)) for pair in sorted(pairs)})
 
 
+@st.composite
+def finite_type_diagrams(draw):
+    """Cartan candidates on up to 8 nodes: a tree first, then its bond labels.
+
+    Node k hangs off node k - 1 or off a random earlier node, so paths and
+    single branch points (the shapes of A, D and E) are common; every bond is
+    simple except, in about half the draws, one bond from BOND_PAIRS. A random
+    permutation then relabels the nodes.
+    """
+    n = draw(st.integers(1, 8))
+    label = draw(st.permutations(range(n)))
+    parents = [draw(st.one_of(st.just(k - 1), st.integers(0, k - 1))) for k in range(1, n)]
+    bonds = [(-1, -1)] * (n - 1)
+    if n > 1 and draw(st.booleans()):
+        bonds[draw(st.integers(0, n - 2))] = draw(st.sampled_from(BOND_PAIRS))
+    return _bonded(
+        n, {(label[p], label[k]): bond for k, p, bond in zip(range(1, n), parents, bonds)}
+    )
+
+
 def _connected(entries):
     reached, todo = {0}, [0]
     while todo:
@@ -257,14 +277,28 @@ def test_raising_walk_ends_at_the_closures_highest_root(name):
 
 
 @settings(max_examples=400)
-@given(small_diagrams())
+@given(finite_type_diagrams())
 def test_raising_walk_ends_at_the_closures_highest_root_on_random_diagrams(entries):
-    # about one drawn diagram in twelve is of finite type
     try:
         cartan = CartanMatrix(entries)
     except InvalidAlgebraError:
         return
     _walk_agrees_with_closure(cartan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_type_diagrams())
+def test_adjacency_eigenvalues_agree_with_jacobi_on_random_diagrams(entries):
+    try:
+        cartan = CartanMatrix(entries)
+    except InvalidAlgebraError:
+        return
+    a = masses.adjacency_symmetrized(generate_roots(cartan))
+    got = ts.symmetric_eigenvalues(a)
+    want = ts.jacobi_eigen(a).eigenvalues
+    scale = max(map(abs, want))
+    for x, y in zip(got, want, strict=True):
+        assert abs(x - y) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("name", ["B2", "B3", "B6", "C2", "C3", "C6", "F4", "G2"])

@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_spectrum import classical
+from toda_spectrum import classical, spectral
 from toda_spectrum.exact_poly import RationalMatrix, char_poly_exact, refine_real_roots
-from toda_spectrum.masses import adjacency_eigen, adjacency_symmetrized, perron_components
+from toda_spectrum.masses import (
+    adjacency_eigen,
+    adjacency_symmetrized,
+    mass_matrix_embedded,
+    perron_components,
+)
 from toda_spectrum.root_systems import AlgebraId, cartan_matrix, dynkin_adjacency, root_system
 from toda_spectrum.spectral import (
     POWER_DELTA_TOL,
@@ -14,6 +19,7 @@ from toda_spectrum.spectral import (
     jacobi_eigen,
     perron_vector,
     recover_exponents,
+    symmetric_eigenvalues,
 )
 
 ALL_ALGEBRAS = classical.all_algebras(8)
@@ -81,6 +87,127 @@ def test_e8_eigenvalue_pairing():
     eigs = jacobi_eigen(a).eigenvalues
     for j in range(8):
         assert abs(eigs[7 - j] + eigs[j]) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue-only solver: Householder tridiagonalisation plus implicit QL
+# ---------------------------------------------------------------------------
+
+# every algebra of rank <= 14, A-D at ranks 15-31, A64 and D48
+SOLVER_ALGEBRAS = (
+    classical.all_algebras(14)
+    + [f + str(r) for f in "ABCD" for r in range(15, 32)]
+    + ["A64", "D48"]
+)
+
+
+@pytest.mark.parametrize("name", SOLVER_ALGEBRAS)
+def test_symmetric_eigenvalues_agree_with_jacobi_on_algebra_matrices(name):
+    for m in (mass_matrix_embedded(name), adjacency_symmetrized(root_system(name))):
+        got = symmetric_eigenvalues(m)
+        want = jacobi_eigen(m).eigenvalues
+        scale = max(map(abs, want))
+        for x, y in zip(got, want, strict=True):
+            assert abs(x - y) <= 1e-13 * scale
+
+
+def test_a_series_adjacency_eigenvalues_are_closed_form():
+    for n in range(1, 65):
+        got = symmetric_eigenvalues(adjacency_symmetrized(root_system(f"A{n}")))
+        for k, x in enumerate(got, start=1):
+            assert abs(x - 2.0 * math.cos(k * math.pi / (n + 1))) <= 1e-14, (n, k)
+
+
+@st.composite
+def reflected_diagonals(draw, max_n=6):
+    """(H diag(lam) H, lam) for a Householder reflection H, with repeated eigenvalues."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    lam = draw(st.lists(st.sampled_from([-2.0, 0.0, 1.0, 3.0]), min_size=n, max_size=n))
+    u = draw(st.lists(st.floats(min_value=-1, max_value=1), min_size=n, max_size=n))
+    uu = sum(x * x for x in u)
+    if uu < 1e-3:
+        u, uu = [1.0] + [0.0] * (n - 1), 1.0
+    h = [[float(i == j) - 2.0 * u[i] * u[j] / uu for j in range(n)] for i in range(n)]
+    m = [[sum(h[i][k] * lam[k] * h[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            m[i][j] = m[j][i]
+    return m, sorted(lam, reverse=True)
+
+
+@st.composite
+def diagonal_matrices(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vals = st.floats(min_value=-10, max_value=10, allow_nan=False)
+    return [[draw(vals) if i == j else 0.0 for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        symmetric_matrices(),
+        diagonal_matrices(),
+        st.integers(min_value=1, max_value=6).map(lambda n: [[0.0] * n for _ in range(n)]),
+        reflected_diagonals().map(lambda pair: pair[0]),
+    )
+)
+def test_symmetric_eigenvalues_agree_with_jacobi_on_random_matrices(m):
+    # Jacobi stops on an absolute off-diagonal threshold, hence the floor of 1
+    got = symmetric_eigenvalues(m)
+    want = jacobi_eigen(m).eigenvalues
+    assert list(got) == sorted(got, reverse=True)
+    scale = max(1.0, max(map(abs, want)))
+    for x, y in zip(got, want):
+        assert abs(x - y) <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(reflected_diagonals())
+def test_symmetric_eigenvalues_resolve_repeated_eigenvalues(pair):
+    m, lam = pair
+    for x, y in zip(symmetric_eigenvalues(m), lam):
+        assert abs(x - y) <= 1e-12
+
+
+def test_symmetric_eigenvalues_small_cases():
+    assert symmetric_eigenvalues([]) == ()
+    assert symmetric_eigenvalues([[-2.5]]) == (-2.5,)
+    assert symmetric_eigenvalues([[0.0, 0.0], [0.0, 0.0]]) == (0.0, 0.0)
+    assert symmetric_eigenvalues([[1.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]]) == (
+        3.0,
+        2.0,
+        1.0,
+    )
+    # entries far below the largest one, and a matrix that is subnormal throughout
+    big, small = symmetric_eigenvalues([[10.0, 5e-324], [5e-324, 1e-310]])
+    assert big == 10.0 and abs(small - 1e-310) <= 1e-320
+    assert symmetric_eigenvalues([[0.0, 5e-324], [5e-324, 0.0]]) == (5e-324, -5e-324)
+
+
+@pytest.mark.parametrize(
+    "bad", [[[0.0, 1.0], [0.5, 0.0]], [[1.0, 2.0]], [[1.0, 2.0], [2.0]]], ids=str
+)
+def test_symmetric_eigenvalues_reject_asymmetric_and_non_square(bad):
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(bad)
+
+
+def test_symmetric_eigenvalues_raise_past_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_QL_ITER", 0)
+    assert symmetric_eigenvalues([[2.0, 0.0], [0.0, 1.0]]) == (2.0, 1.0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        symmetric_eigenvalues([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_invariant_check_catches_a_wrong_eigenvalue():
+    a = [[2.0, 1.0], [1.0, 2.0]]
+    spectral._check_invariants(a, [3.0, 1.0])
+    with pytest.raises(RuntimeError, match="trace"):
+        spectral._check_invariants(a, [3.0, 1.0 + 1e-10])
+    with pytest.raises(RuntimeError, match="Frobenius"):
+        spectral._check_invariants(a, [1.0 + 2.0**0.5, 3.0 - 2.0**0.5])  # right sum only
+    with pytest.raises(RuntimeError):
+        spectral._check_invariants(a, [math.nan, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 from toda_spectrum import masses
 from toda_spectrum.masses import CONSISTENCY_TOL
-from toda_spectrum.report import CheckReport, check, check_exact
+from toda_spectrum.report import CheckReport, ExactCheckResult, check, check_exact
 from toda_spectrum.verify import SUITES, _merged_check
 
 E8_TABLE = [
@@ -39,7 +39,7 @@ def test_with_tolerance_rejudges_every_residual():
     strict = report.with_tolerance(1e-30)
     assert [c.name for c in strict] == E8_TABLE
     assert [c.residual for c in strict] == [c.residual for c in report]
-    assert all(c.tolerance == 1e-30 for c in strict)
+    assert all(c.tolerance == (0.0 if isinstance(c, ExactCheckResult) else 1e-30) for c in strict)
     assert all(c.passed == (abs(c.residual) <= 1e-30) for c in strict)
     assert not strict.all_passed
     assert strict["mass-charpoly"].passed  # exact checks have residual 0
@@ -90,7 +90,8 @@ def test_merged_row_is_judged_like_the_part_nearest_to_failing():
 def test_with_tolerance_keeps_exact_checks_exact():
     failed = CheckReport((check_exact("x", False),))
     loose = failed.with_tolerance(1.0)
-    assert (loose["x"].residual, loose["x"].tolerance, loose["x"].passed) == (1.0, 1.0, False)
+    assert (loose["x"].residual, loose["x"].tolerance, loose["x"].passed) == (1.0, 0.0, False)
+    assert all(c.passed == (abs(c.residual) <= c.tolerance) for c in loose)
     assert not loose.all_passed
     assert CheckReport((check_exact("x", True),)).with_tolerance(0.0).all_passed
     assert CheckReport((check("y", 1.0, 0.0),)).with_tolerance(1.0).all_passed  # re-judged
