@@ -239,7 +239,10 @@ def spectrum(algebra: str, method: str, normalize: str, fmt: str, tolerance: flo
     type=float,
     default=None,
     callback=_tolerance,
-    help="Override every check tolerance with one value.",
+    help=(
+        "Judge every float check against this one tolerance; exact checks keep "
+        "tolerance 0 and their own verdict."
+    ),
 )
 def verify(scope: str, fmt: str, tolerance: float | None) -> None:
     """Run a verification suite; exit code 0 only if every check passes.

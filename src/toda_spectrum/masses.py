@@ -8,10 +8,15 @@ determinant of the mass matrix.
 Route two (``spectrum_method2``): the mass matrix is the weighted sum of outer
 products of the affine root family (the simple roots plus the lowest root,
 weighted by the marks, with weight one on the lowest root). Its eigenvalues
-are the squared masses. The same spectrum is carried by an exact rational
-matrix - the mark-weighted coefficient outer-product sum times the Gram
-matrix - so the characteristic polynomial can be computed with no floating
-point at all.
+are the squared masses. They are computed on the affine Dynkin diagram: the
+(n+1) x (n+1) matrix W^(1/2) G' W^(1/2), with G' the Gram matrix of the
+affine family and W = diag(1, marks), has the same eigenvalues plus one zero.
+It is built from the nonzero Gram entries in O(n + bonds) and reduced as a
+band matrix. The dense embedded matrix (``mass_matrix_embedded``) is kept as
+the tests' independent reference. The same spectrum is carried by an exact
+rational matrix - the mark-weighted coefficient outer-product sum times the
+Gram matrix - so the characteristic polynomial can be computed with no
+floating point at all.
 
 For simply-laced algebras the two routes agree node by node; for B, C, F and G
 both spectra are reported without asserting agreement.
@@ -183,7 +188,12 @@ def adjacency_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:
 
 
 def mass_matrix_embedded(algebra: AlgebraId | str) -> list[list[float]]:
-    """The symmetric mass matrix built from embedded root coordinates."""
+    """The symmetric n x n mass matrix built from embedded root coordinates.
+
+    A dense sum of outer products over a Cholesky embedding of the roots. No
+    algebra request builds it; it is the independent reference the tests
+    hold :func:`_affine_mass_matrix` to.
+    """
     rs = root_system(algebra)
     n = rs.rank
     vectors = embed_roots(rs)
@@ -197,14 +207,56 @@ def mass_matrix_embedded(algebra: AlgebraId | str) -> list[list[float]]:
     return b
 
 
+def _gram_entries(rs: RootSystem) -> list[tuple[int, int, float]]:
+    """``(i, j, G_ij)`` for every nonzero Gram entry, the diagonal included.
+
+    Read off the Cartan bonds, so a call converts O(n + bonds) ``Fraction``
+    entries to float rather than n^2.
+    """
+    return [(i, j, float(rs.gram[i][j])) for i, row in enumerate(rs.cartan.bonds) for j, _ in row]
+
+
+def _affine_mass_matrix(rs: RootSystem) -> list[list[float]]:
+    """The (n+1) x (n+1) matrix W^(1/2) G' W^(1/2) on the affine Dynkin diagram.
+
+    G' is the Gram matrix of the affine root family, node 0 the lowest root
+    -theta, and W = diag(1, marks). With V the matrix whose rows are the
+    family's vectors, the mass matrix is V^T W V, so its eigenvalues are the
+    nonzero ones of W^(1/2) V V^T W^(1/2), which is this matrix. Its one
+    other eigenvalue is 0, with eigenvector (1, sqrt(marks)), because the
+    family weighted by (1, marks) sums to zero.
+
+    Built in O(n + bonds) from the nonzero Gram entries: G'_00 = 2, and
+    G'_0j = -sum_k marks_k G_kj = -p_j G_jj / 2, where the integer p_j is the
+    pairing of theta with coroot j, nonzero only where node 0 bonds.
+    """
+    n = rs.rank
+    marks = rs.marks
+    pairing = [0] * n
+    for k, row in enumerate(rs.cartan.bonds):
+        for j, c in row:
+            pairing[j] += marks[k] * c
+    m = [[0.0] * (n + 1) for _ in range(n + 1)]
+    m[0][0] = 2.0
+    for i, j, g in _gram_entries(rs):
+        m[i + 1][j + 1] = math.sqrt(marks[i] * marks[j]) * g
+        if i == j and pairing[j]:
+            m[0][j + 1] = m[j + 1][0] = -math.sqrt(marks[j]) * (pairing[j] * g / 2.0)
+    return m
+
+
 def adjacency_symmetrized(rs: RootSystem) -> list[list[float]]:
-    """Symmetric matrix similar to 2I - C (entrywise G_ij / sqrt(d_i d_j) off the shift)."""
+    """Symmetric matrix similar to 2I - C (entrywise -G_ij / sqrt(d_i d_j) off the diagonal).
+
+    Filled from the nonzero Gram entries, like :func:`_affine_mass_matrix`.
+    """
     n = rs.rank
     d = [math.sqrt(float(x)) for x in rs.symmetrizers]
-    return [
-        [0.0 if i == j else -float(rs.gram[i][j]) / (d[i] * d[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    a = [[0.0] * n for _ in range(n)]
+    for i, j, g in _gram_entries(rs):
+        if i != j:
+            a[i][j] = -g / (d[i] * d[j])
+    return a
 
 
 @dataclass(frozen=True)
@@ -236,15 +288,30 @@ def _perron_components(aid: AlgebraId) -> tuple[float, ...]:
     return tuple(x * scale for x in pv.components)
 
 
+# an eigenvalue of the affine mass matrix at most this times the largest is its null one
+NULL_EIGENVALUE_TOL = 1e-12
+
+
 @functools.lru_cache(maxsize=None)
 def _mass_squares(aid: AlgebraId) -> tuple[float, ...]:
-    """Mass-matrix eigenvalues in ascending order, computed once per algebra."""
-    squares_desc = symmetric_eigenvalues(mass_matrix_embedded(aid))
-    if squares_desc[-1] <= 0.0:
+    """Mass-matrix eigenvalues in ascending order, computed once per algebra.
+
+    They are the eigenvalues of :func:`_affine_mass_matrix` less its null one.
+    Raises ``ConsistencyError`` unless exactly one eigenvalue is at rounding
+    level and every other one is positive.
+    """
+    eigenvalues = symmetric_eigenvalues(_affine_mass_matrix(root_system(aid)))
+    squares = [x for x in eigenvalues if abs(x) > NULL_EIGENVALUE_TOL * eigenvalues[0]]
+    if len(squares) != len(eigenvalues) - 1:
         raise ConsistencyError(
-            f"mass matrix of {aid} produced a nonpositive eigenvalue: {squares_desc[-1]}"
+            f"affine mass matrix of {aid} has {len(eigenvalues) - len(squares)} "
+            "eigenvalues at rounding level, not one"
         )
-    return tuple(sorted(squares_desc))
+    if squares[-1] <= 0.0:
+        raise ConsistencyError(
+            f"mass matrix of {aid} produced a nonpositive eigenvalue: {squares[-1]}"
+        )
+    return tuple(reversed(squares))
 
 
 def _mass_scale(rs: RootSystem, u: tuple[float, ...]) -> float:

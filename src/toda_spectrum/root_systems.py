@@ -154,6 +154,11 @@ class CartanMatrix:
     def rank(self) -> int:
         return len(self.entries)
 
+    @functools.cached_property
+    def bonds(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node i, the nonzero entries ``(j, C_ij)`` of row i, the diagonal included."""
+        return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in self.entries)
+
 
 def cartan_matrix(algebra: AlgebraId) -> CartanMatrix:
     """Cartan matrix in the fixed node numbering documented in the module docstring."""
@@ -264,12 +269,9 @@ def _symmetrizers(cartan: CartanMatrix) -> tuple[Fraction, ...]:
     return tuple(x / top for x in d)
 
 
-def _bonds(cartan: CartanMatrix) -> list[list[tuple[int, int]]]:
-    """Per node i, the nonzero entries ``(j, C_ij)`` of its Cartan row, the diagonal included."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in cartan.entries]
-
-
-def _raise_to_dominant(bonds: list[list[tuple[int, int]]], start: int) -> tuple[int, ...]:
+def _raise_to_dominant(
+    bonds: tuple[tuple[tuple[int, int], ...], ...], start: int
+) -> tuple[int, ...]:
     """Raise simple root ``start`` by simple reflections until no pairing is negative.
 
     ``pairing[i]`` is the pairing of the current root with coroot i. While one
@@ -311,7 +313,7 @@ def generate_roots(cartan: CartanMatrix, algebra: AlgebraId | None = None) -> Ro
     """
     n = cartan.rank
     d = _symmetrizers(cartan)
-    bonds = _bonds(cartan)
+    bonds = cartan.bonds
     zero = Fraction(0)
     gram = []
     for row in bonds:

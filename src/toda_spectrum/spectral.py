@@ -1,21 +1,16 @@
-"""Floating-point spectral machinery.
+"""Floating-point spectral machinery: symmetric eigenvalues, left Perron-Frobenius
+vectors by shifted power iteration, and algebra exponents from adjacency
+eigenvalues. Tolerances are fixed constants so repeated runs are bit-identical.
 
-Eigenvalues of symmetric matrices by Householder tridiagonalisation and
-implicit QL with Wilkinson shifts, left Perron-Frobenius vectors by shifted
-power iteration, and recovery of algebra exponents from adjacency eigenvalues.
-Tolerances are fixed constants so repeated runs are bit-identical.
-
-``symmetric_eigenvalues`` is the solver every algebra request uses. It
-computes eigenvalues only: one reduction of about (4/3) n^3 flops, skipped
-where a column is already tridiagonal (the A, B and C adjacencies), then
-O(n^2) work in QL. Each solve is checked against two exact invariants,
-sum(lambda) = tr M and sum(lambda^2) = ||M||_F^2. The cyclic Jacobi solver
-``jacobi_eigen`` costs O(n^3) per sweep and also accumulates eigenvectors; no
-algebra request runs it. It is kept as the eigenvector-producing reference the
-tests compare against, and because the benchmark's tracer wraps it by name.
-
-Power iteration visits only the nonzero entries of each column, so a step
-costs O(n + nonzeros); a Dynkin adjacency has at most three per column.
+``symmetric_eigenvalues``, which every algebra request uses, computes
+eigenvalues only. Reverse Cuthill-McKee turns a Dynkin matrix, affine or not,
+into a band of width b <= 3, Givens rotations reduce the band to tridiagonal
+form in O(n^2 b), and implicit QL takes O(n^2); dense input is b = n - 1.
+Each solve is checked against sum(lambda) = tr M and sum(lambda^2) =
+||M||_F^2. No algebra request runs the cyclic Jacobi solver ``jacobi_eigen``
+(O(n^3) per sweep, with eigenvectors): it is the tests' eigenvector reference,
+and the benchmark's tracer wraps it by name. A power-iteration step visits
+only the nonzero entries of each column, O(n + nonzeros) in all.
 """
 
 from __future__ import annotations
@@ -79,59 +74,86 @@ def _symmetric_copy(m: Matrix) -> list[list[float]]:
 def symmetric_eigenvalues(m: Matrix) -> tuple[float, ...]:
     """Eigenvalues of a symmetric matrix in descending order, without eigenvectors.
 
-    Householder reflections reduce ``m`` to tridiagonal form, then implicit QL
-    with Wilkinson shifts diagonalises it (Golub & Van Loan, Matrix
-    Computations, 8.3; EISPACK tred1 and tql1). Raises ``ValueError`` for
-    input that is not square and symmetric, and ``RuntimeError`` if QL needs
-    more than 30 iterations for one eigenvalue or if the eigenvalues miss
-    sum = trace or sum of squares = squared Frobenius norm by more than 1e-12
-    relative.
+    Renumbered by reverse Cuthill-McKee, reduced as a band matrix to tridiagonal
+    form, then diagonalised by implicit QL with Wilkinson shifts (EISPACK tql1).
+    Raises ``ValueError`` unless ``m`` is square and symmetric, ``RuntimeError``
+    if QL needs more than 30 iterations for one eigenvalue or if the eigenvalues
+    miss sum = trace or sum of squares = squared Frobenius norm by 1e-12 relative.
     """
     a = _symmetric_copy(m)
     # scale by a power of two so that the largest entry lies in [1/2, 1): exact
     # for every entry above 2^-1022, and no entry that matters is subnormal
     top = max((abs(x) for row in a for x in row), default=0.0)
     shift = math.frexp(top)[1]
-    a = [[math.ldexp(x, -shift) for x in row] for row in a]
-    eigenvalues = _ql_implicit(*_tridiagonalize(a))
+    order = _reverse_cuthill_mckee(a)
+    a = [[math.ldexp(a[i][j], -shift) for j in order] for i in order]
+    eigenvalues = _ql_implicit(*_band_to_tridiagonal([row[:] for row in a]))
     _check_invariants(a, eigenvalues)
     return tuple(sorted((math.ldexp(x, shift) for x in eigenvalues), reverse=True))
 
 
-def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+def _reverse_cuthill_mckee(a: list[list[float]]) -> list[int]:
+    """An order of the nodes of ``a``'s graph that keeps its nonzeros near the diagonal.
+
+    Each component is numbered breadth first, unseen neighbours by ascending
+    degree, from a pseudo-peripheral node: while that adds levels, restart from
+    a least-degree node of the last level. The order is then reversed (Cuthill
+    & McKee 1969; George & Liu 1981).
+    """
+    adj = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(a)]
+    degree = [len(x) for x in adj].__getitem__
+
+    def bfs(root: int) -> list[list[int]]:
+        levels, seen = [[root]], {root}
+        while nxt := [w for v in levels[-1] for w in sorted(adj[v], key=degree) if w not in seen]:
+            levels.append(list(dict.fromkeys(nxt)))  # the first parent places a shared child
+            seen.update(nxt)
+        return levels
+
+    order: list[int] = []
+    for start in sorted(range(len(a)), key=degree):
+        if start not in order:
+            levels = bfs(start)
+            while len(wider := bfs(min(levels[-1], key=degree))) > len(levels):
+                levels = wider
+            order += [v for level in levels for v in level]
+    return order[::-1]
+
+
+def _band_to_tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float]]:
     """Diagonal and off-diagonal of a tridiagonal matrix orthogonally similar to ``a``.
 
-    Step k reflects rows and columns k+1.. so that column k is zero below its
-    subdiagonal; a column that already is gets no reflection. ``a`` is not
-    modified.
+    With b the largest distance of a nonzero from the diagonal, each column is
+    cleared from the bottom of the band up by rotations in planes (i - 1, i).
+    A rotation leaves one entry b + 1 below the diagonal, which rotations b
+    rows apart chase off the end (Schwarz 1968; LAPACK sbtrd): O(n^2 b) in all,
+    and dense input is b = n - 1. Reads the lower triangle and overwrites it.
     """
     n = len(a)
-    diag, off = [0.0] * n, [0.0] * n  # off[k] couples k and k + 1; off[n-1] stays 0
-    b = a  # the trailing block still to reduce; rebuilt each step, never written
-    for k in range(n - 1):
-        diag[k] = b[0][0]
-        x = b[0][1:]
-        b = [row[1:] for row in b[1:]]
-        off[k] = x[0]
-        if any(x[1:]):
-            # reflector I - v v^T / h with v = y + sign(y0)|y| e1 and v^T v = 2h,
-            # for y = x / max|x_i|, so that neither |y| nor h under- or overflows
-            scale = max(map(abs, x))
-            v = [xi / scale for xi in x]
-            norm = math.hypot(*v)
-            h = norm * (norm + abs(v[0]))
-            v[0] += math.copysign(norm, v[0])
-            off[k] = -math.copysign(norm * scale, x[0])
-            p = [sum(map(operator.mul, row, v)) / h for row in b]
-            half = sum(map(operator.mul, p, v)) / (2.0 * h)
-            w = [pi - half * vi for pi, vi in zip(p, v)]
-            b = [
-                [bij - vi * wj - wi * vj for bij, wj, vj in zip(row, w, v)]
-                for row, vi, wi in zip(b, v, w)
-            ]
-    if n:
-        diag[-1] = b[0][0]
-    return diag, off
+    b = max((i - j for i, row in enumerate(a) for j in range(i) if row[j]), default=0)
+    for k in range(n - 2):
+        for i in range(min(k + b, n - 1), k + 1, -1):
+            p, q, col = i - 1, i, k  # rotate planes p, q to clear a[q][col]
+            while q < n and a[q][col]:
+                # x/max, y/max: neither hypot nor the ratios under- or overflow
+                x, y = a[p][col], a[q][col]
+                scale = max(abs(x), abs(y))
+                r = math.hypot(x / scale, y / scale)
+                c, s = x / scale / r, y / scale / r
+                # rows p, q left of the 2 x 2 block (zero left of col), then
+                # columns p, q below it, down to the row of the new bulge
+                rp, rq = a[p], a[q]
+                x, y = rp[col:p], rq[col:p]
+                rp[col:p] = [c * u + s * v for u, v in zip(x, y)]
+                rq[col:p] = [c * v - s * u for u, v in zip(x, y)]
+                for row in a[q + 1 : q + b + 1]:
+                    row[p], row[q] = c * row[p] + s * row[q], c * row[q] - s * row[p]
+                x, y, z = rp[p], rq[p], rq[q]
+                rp[p] = c * c * x + 2.0 * c * s * y + s * s * z
+                rq[q] = s * s * x - 2.0 * c * s * y + c * c * z
+                rq[p], rq[col] = c * s * (z - x) + (c * c - s * s) * y, 0.0
+                p, q, col = p + b, q + b, p
+    return [a[i][i] for i in range(n)], [a[i + 1][i] for i in range(n - 1)] + [0.0] * (n > 0)
 
 
 def _ql_implicit(d: list[float], e: list[float]) -> list[float]:

@@ -1,16 +1,20 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 
-from toda_spectrum import classical, masses
+from toda_spectrum import classical, masses, root_systems, verify
 from toda_spectrum.masses import (
     E8_GOLDEN_PAIRS,
     E8_MASS_QUARTICS,
     E8_QUARTIC_LABELS,
     GOLDEN_RATIO,
+    NULL_EIGENVALUE_TOL,
     ConsistencyError,
     MassMethod,
+    adjacency_eigen,
+    adjacency_symmetrized,
     closed_form_mass_scale,
     consistency_check,
     e8_identity_suite,
@@ -23,7 +27,7 @@ from toda_spectrum.masses import (
     spectrum_method2,
 )
 from toda_spectrum.root_systems import AlgebraId, root_system
-from toda_spectrum.spectral import jacobi_eigen
+from toda_spectrum.spectral import jacobi_eigen, symmetric_eigenvalues
 
 ADE = classical.simply_laced_algebras(8)
 
@@ -114,6 +118,103 @@ def test_embedded_matrix_matches_exact_carrier(name):
     poly = mass_char_poly(name)
     for eig in jacobi_eigen(mass_matrix_embedded(name)).eigenvalues:
         assert abs(poly.evaluate(eig)) / poly.magnitude_at(eig) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the affine (n+1) x (n+1) mass matrix
+# ---------------------------------------------------------------------------
+
+# every algebra of rank <= 14, A-D at ranks 15-31, A64 and D48
+MASS_ALGEBRAS = (
+    classical.all_algebras(14)
+    + [f + str(r) for f in "ABCD" for r in range(15, 32)]
+    + ["A64", "D48"]
+)
+
+
+@pytest.mark.parametrize("name", MASS_ALGEBRAS)
+def test_mass_squares_agree_with_jacobi_on_the_embedded_matrix(name):
+    want = sorted(jacobi_eigen(mass_matrix_embedded(name)).eigenvalues)
+    got = masses._mass_squares(AlgebraId.parse(name))
+    for x, y in zip(got, want, strict=True):
+        assert abs(x - y) <= 1e-13 * want[-1]
+
+
+@pytest.mark.parametrize("name", classical.all_algebras(14) + ["A31", "B31", "C31", "A64", "D48"])
+def test_affine_mass_matrix_has_one_null_vector(name):
+    # M (1, sqrt(marks)) = 0, because the affine family weighted by (1, marks)
+    # sums to zero; every entry of M is at most 12 in size
+    rs = root_system(name)
+    m = masses._affine_mass_matrix(rs)
+    null = [1.0] + [math.sqrt(k) for k in rs.marks]
+    assert max(abs(x) for row in m for x in row) <= 12.0
+    for row in m:
+        assert abs(math.fsum(x * y for x, y in zip(row, null))) <= 1e-14
+    eigenvalues = symmetric_eigenvalues(m)
+    assert sum(abs(x) <= NULL_EIGENVALUE_TOL * eigenvalues[0] for x in eigenvalues) == 1
+    assert sorted(eigenvalues)[1] > 1e-3 * eigenvalues[0]  # the next one is far from rounding
+
+
+@pytest.mark.parametrize(
+    "eigenvalues, message",
+    [
+        ((4.0, 1.0, 1e-20, -1e-20), "2 eigenvalues at rounding level"),
+        ((4.0, 1.0, 0.5, 0.25), "0 eigenvalues at rounding level"),
+        ((4.0, 1.0, 0.0, -0.5), "nonpositive eigenvalue"),
+    ],
+)
+def test_mass_squares_reject_a_wrong_null_space(eigenvalues, message, monkeypatch):
+    monkeypatch.setattr(masses, "symmetric_eigenvalues", lambda m: eigenvalues)
+    with pytest.raises(ConsistencyError, match=message):
+        masses._mass_squares.__wrapped__(AlgebraId("A", 3))
+
+
+def _dense_adjacency(rs):
+    """The n^2 formula adjacency_symmetrized replaced: every Gram entry converted."""
+    d = [math.sqrt(float(x)) for x in rs.symmetrizers]
+    n = rs.rank
+    return [
+        [0.0 if i == j else -float(rs.gram[i][j]) / (d[i] * d[j]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("name", MASS_ALGEBRAS)
+def test_sparse_adjacency_is_bit_identical_to_dense(name):
+    # float == is bit identity here: no entry is NaN, and a missing bond, -0.0
+    # in the dense formula, is now 0.0, which compares equal
+    rs = root_system(name)
+    assert adjacency_symmetrized(rs) == _dense_adjacency(rs)
+
+
+def _off_the_algebra_path(*args):
+    raise AssertionError("the embedding is not on the algebra path")
+
+
+@pytest.fixture
+def no_embedding(monkeypatch):
+    """Fresh per-algebra caches, and every embedding entry point raising."""
+    monkeypatch.setattr(root_systems, "_cholesky", _off_the_algebra_path)
+    for module in (root_systems, masses):
+        monkeypatch.setattr(module, "embed_roots", _off_the_algebra_path)
+    monkeypatch.setattr(masses, "mass_matrix_embedded", _off_the_algebra_path)
+    for cached in ("_mass_char_poly", "_perron_components", "_mass_squares"):
+        fn = getattr(masses, cached).__wrapped__
+        monkeypatch.setattr(masses, cached, functools.lru_cache(maxsize=None)(fn))
+
+
+@pytest.mark.parametrize("name", ["A1", "A14", "B9", "C10", "D14", "E8", "F4", "G2", "A31", "D31"])
+def test_algebra_requests_build_no_embedding(name, no_embedding):
+    spectrum_method1(name)
+    spectrum_method2(name)
+    consistency_check(name)
+    mass_char_poly(name)
+    adjacency_eigen(name)
+
+
+def test_verify_suites_build_no_embedding(no_embedding):
+    for suite in verify.SUITES.values():
+        suite()
 
 
 def test_a1_mass_matrix_is_four():

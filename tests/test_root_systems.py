@@ -13,7 +13,6 @@ from toda_spectrum.root_systems import (
     AlgebraId,
     CartanMatrix,
     InvalidAlgebraError,
-    _bonds,
     _raise_to_dominant,
     cartan_matrix,
     dynkin_adjacency,
@@ -312,7 +311,7 @@ def test_raising_walk_needs_a_long_start(name):
         if sum(r[i] * rs.gram[i][j] * r[j] for i in range(n) for j in range(n)) < 2
     ]
     for start, d in enumerate(rs.symmetrizers):
-        end = _raise_to_dominant(_bonds(rs.cartan), start)
+        end = _raise_to_dominant(rs.cartan.bonds, start)
         if d == 1:
             assert end == rs.highest_root
         else:

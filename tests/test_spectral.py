@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_spectrum import classical, spectral
+from toda_spectrum import classical, masses, spectral
 from toda_spectrum.exact_poly import RationalMatrix, char_poly_exact, refine_real_roots
 from toda_spectrum.masses import (
     adjacency_eigen,
@@ -118,6 +119,104 @@ def test_a_series_adjacency_eigenvalues_are_closed_form():
             assert abs(x - 2.0 * math.cos(k * math.pi / (n + 1))) <= 1e-14, (n, k)
 
 
+# graphs whose matrices reverse Cuthill-McKee turns into narrow bands:
+# name -> (node count, edges)
+BAND_GRAPHS = {
+    "cycle-7": (7, [(i, (i + 1) % 7) for i in range(7)]),
+    "cycle-24": (24, [(i, (i + 1) % 24) for i in range(24)]),
+    "forked-path-14": (
+        14,
+        [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, 11)] + [(11, 12), (11, 13)],
+    ),
+    "d4-star": (5, [(0, j) for j in range(1, 5)]),
+    "two-cycles": (
+        11,
+        [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 6) for i in range(6)],
+    ),
+    "ladder-16": (16, [(i, i + 1) for i in range(0, 15, 2)] + [(i, i + 2) for i in range(14)]),
+    # node 0, of least degree, hangs off the middle of a 2 x 12 ladder: started
+    # there, without the search for a pseudo-peripheral node, the band is 5 wide
+    "ladder-with-tail": (
+        25,
+        [(i, i + 1) for i in range(1, 24, 2)] + [(i, i + 2) for i in range(1, 23)] + [(0, 13)],
+    ),
+}
+
+
+def _band_matrix(name, seed=0):
+    """A symmetric matrix on the graph, weights multiples of 1/16 in [-4, 4]."""
+    n, edges = BAND_GRAPHS[name]
+    rng = random.Random(f"{name}-{seed}")
+    m = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = rng.randint(-64, 64) / 16
+    for i, j in edges:
+        m[i][j] = m[j][i] = rng.choice([-1, 1]) * rng.randint(1, 64) / 16
+    return m
+
+
+def _assert_agree(got, want, tol=0.0):
+    scale = max(map(abs, want))
+    for x, y in zip(got, want, strict=True):
+        assert abs(x - y) <= 1e-13 * scale + tol
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", BAND_GRAPHS)
+def test_symmetric_eigenvalues_agree_with_jacobi_on_band_matrices(name, seed):
+    m = _band_matrix(name, seed)
+    want = jacobi_eigen(m).eigenvalues
+    _assert_agree(symmetric_eigenvalues(m), want)
+    # huge entries: 2^1000 times the matrix, exactly
+    huge = [[math.ldexp(x, 1000) for x in row] for row in m]
+    _assert_agree(symmetric_eigenvalues(huge), [math.ldexp(x, 1000) for x in want])
+    # subnormal throughout: 2^-1050 times the matrix, still exact; the results
+    # are rounded to the subnormal grid, so allow one step of it
+    tiny = [[math.ldexp(x, -1050) for x in row] for row in m]
+    assert all(abs(x) < 2.0**-1022 for row in tiny for x in row)
+    _assert_agree(symmetric_eigenvalues(tiny), [math.ldexp(x, -1050) for x in want], 2.0**-1074)
+    # subnormal bonds among normal ones: each rotation they start is scaled first
+    mixed = [row[:] for row in m]
+    for k, (i, j) in enumerate(BAND_GRAPHS[name][1][::2]):
+        mixed[i][j] = mixed[j][i] = (k + 1) * 5e-324
+    _assert_agree(symmetric_eigenvalues(mixed), jacobi_eigen(mixed).eigenvalues)
+
+
+def _ordered_bandwidth(m):
+    order = spectral._reverse_cuthill_mckee(m)
+    assert sorted(order) == list(range(len(m)))
+    at = {node: k for k, node in enumerate(order)}
+    return max(
+        (abs(at[i] - at[j]) for i, row in enumerate(m) for j, x in enumerate(row) if x),
+        default=0,
+    )
+
+
+def test_reverse_cuthill_mckee_bandwidth_on_every_diagram_to_rank_64():
+    lowest = {"A": 1, "B": 2, "C": 2, "D": 3}
+    names = [f + str(r) for f, lo in lowest.items() for r in range(lo, 65)]
+    names += ["E6", "E7", "E8", "F4", "G2"]
+    for name in names:
+        rs = root_system(name)
+        plain = _ordered_bandwidth(adjacency_symmetrized(rs))
+        affine = _ordered_bandwidth(masses._affine_mass_matrix(rs))
+        assert plain <= 2, name
+        assert affine <= (3 if name == "D4" else 2), name
+
+
+def test_reverse_cuthill_mckee_bandwidth_on_band_graphs():
+    widths = {name: _ordered_bandwidth(_band_matrix(name)) for name in BAND_GRAPHS}
+    assert widths == {
+        "cycle-7": 2,
+        "cycle-24": 2,
+        "forked-path-14": 2,
+        "d4-star": 3,
+        "two-cycles": 2,
+        "ladder-16": 2,
+        "ladder-with-tail": 3,
+    }
+
+
 @st.composite
 def reflected_diagonals(draw, max_n=6):
     """(H diag(lam) H, lam) for a Householder reflection H, with repeated eigenvalues."""
@@ -197,6 +296,20 @@ def test_symmetric_eigenvalues_raise_past_the_iteration_cap(monkeypatch):
     assert symmetric_eigenvalues([[2.0, 0.0], [0.0, 1.0]]) == (2.0, 1.0)
     with pytest.raises(RuntimeError, match="did not converge"):
         symmetric_eigenvalues([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_symmetric_eigenvalues_check_the_invariants(monkeypatch):
+    # an eigenvalue 1e-9 off is caught by the trace check, not returned
+    ql = spectral._ql_implicit
+
+    def one_off(d, e):
+        eigenvalues = ql(d, e)
+        eigenvalues[0] += 1e-9
+        return eigenvalues
+
+    monkeypatch.setattr(spectral, "_ql_implicit", one_off)
+    with pytest.raises(RuntimeError, match="trace"):
+        symmetric_eigenvalues(_band_matrix("cycle-7"))
 
 
 def test_invariant_check_catches_a_wrong_eigenvalue():
