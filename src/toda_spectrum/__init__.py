@@ -25,7 +25,6 @@ from .masses import (
     Spectrum,
     adjacency_eigen,
     consistency_check,
-    e8_identity_suite,
     mass_char_poly,
     mass_matrix,
     mass_ratio_spread,
@@ -91,7 +90,6 @@ __all__ = [
     "char_poly_exact",
     "consistency_check",
     "dynkin_adjacency",
-    "e8_identity_suite",
     "embed_coefficients",
     "embed_roots",
     "eval_radical",

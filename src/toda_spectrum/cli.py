@@ -318,10 +318,12 @@ def _dynkin(aid: AlgebraId, rs: RootSystem) -> Output:
     """The chain of nodes left to right, with a D or E branch node drawn below.
 
     Bonds come from the Cartan matrix; arrows point from long roots to short ones.
+    The last node is a branch node when its neighbour is not the node before it.
     """
     c = rs.cartan.entries
-    branched = aid.family in ("D", "E")
-    attach = aid.rank - (2 if aid.family == "D" else 3)
+    last = rs.rank - 1
+    attach = next((j + 1 for j, _ in rs.cartan.bonds[last] if j not in (last, last - 1)), 0)
+    branched = attach > 0
     line = ""
     for node in range(1, aid.rank if branched else aid.rank + 1):
         if node > 1:

@@ -222,9 +222,11 @@ def poly_divide_exact(
     return RationalPolynomial(tuple(quot)), RationalPolynomial(tuple(rem))
 
 
-def refine_real_roots(
-    p: RationalPolynomial, lo: float, hi: float, samples: int = 20000
-) -> list[float]:
+# grid points per call of refine_real_roots
+_GRID_SAMPLES = 20000
+
+
+def refine_real_roots(p: RationalPolynomial, lo: float, hi: float) -> list[float]:
     """All simple real roots of p in [lo, hi], by grid scan plus bisection.
 
     Suited to the well-separated spectra this package produces; roots closer
@@ -242,11 +244,11 @@ def refine_real_roots(
         return acc
 
     roots: list[float] = []
-    step = (hi - lo) / samples
+    step = (hi - lo) / _GRID_SAMPLES
     prev_x, prev_v = lo, f(lo)
     if prev_v == 0.0:
         roots.append(prev_x)
-    for i in range(1, samples + 1):
+    for i in range(1, _GRID_SAMPLES + 1):
         x = lo + i * step
         v = f(x)
         if v == 0.0:

@@ -1,4 +1,4 @@
-"""Toda-lattice mass spectra by two routes, and the exact identity suite for E8.
+"""Toda-lattice mass spectra by two routes.
 
 Route one (``spectrum_method1``): the left Perron-Frobenius vector of the
 Dynkin adjacency matrix 2I - C carries the mass ratios; the absolute scale is
@@ -19,7 +19,8 @@ Gram matrix - so the characteristic polynomial can be computed with no
 floating point at all.
 
 For simply-laced algebras the two routes agree node by node; for B, C, F and G
-both spectra are reported without asserting agreement.
+both spectra are reported without asserting agreement. The E8 identity checks
+live in :mod:`toda_spectrum.verify`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from fractions import Fraction
 
 from . import classical
 from .exact_poly import RationalMatrix, RationalPolynomial, char_poly_exact
-from .report import CheckReport, CheckResult, check
 from .root_systems import (
     AlgebraId,
     RootSystem,
@@ -45,24 +45,6 @@ from .spectral import perron_vector, symmetric_eigenvalues
 E8 = AlgebraId("E", 8)
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
-
-# E8 particle labels follow the Dynkin node numbering. Each pair below is
-# (heavier, lighter) with mass ratio equal to the golden ratio.
-E8_GOLDEN_PAIRS = ((7, 1), (6, 2), (5, 3), (4, 8))
-
-# Perron components of the E8 adjacency matrix rounded to four decimals,
-# normalised so component 5 equals 1 (the branch node carries the maximum).
-E8_PERRON_REFERENCE_4DP = (0.2091, 0.4158, 0.6180, 0.8135, 1.0, 0.6728, 0.3383, 0.5028)
-
-# The degree-8 characteristic polynomial of the E8 mass matrix splits into two
-# monic quartics. Each carries the squared masses of four particles; the label
-# sets below were established numerically (the swapped assignment misses the
-# roots by residuals around 1e2).
-E8_MASS_QUARTICS: tuple[RationalPolynomial, RationalPolynomial] = (
-    RationalPolynomial.of(720, -720, 240, -30, 1),
-    RationalPolynomial.of(720, -1080, 300, -30, 1),
-)
-E8_QUARTIC_LABELS: tuple[tuple[int, ...], tuple[int, ...]] = ((2, 5, 7, 8), (1, 3, 4, 6))
 
 
 class MassMethod(enum.Enum):
@@ -425,77 +407,3 @@ def consistency_check(algebra: AlgebraId | str) -> float:
             f"mass routes disagree for simply-laced {aid}: spread {spread:.3e} > {CONSISTENCY_TOL}"
         )
     return spread
-
-
-def closed_form_mass_scale() -> float:
-    """The E8 mass scale in closed form: 2 sqrt(3) sin(6 pi/30) / sin(pi/30)."""
-    theta = math.pi / 30.0
-    return 2.0 * math.sqrt(3.0) * math.sin(6.0 * theta) / math.sin(theta)
-
-
-def e8_identity_suite() -> CheckReport:
-    """Verify the named E8 identities; failures come back as report entries."""
-    rs = root_system(E8)
-    u = perron_components(E8)
-    checks: list[CheckResult] = []
-
-    golden_res = max(
-        abs(u[heavy - 1] / u[light - 1] - GOLDEN_RATIO) / GOLDEN_RATIO
-        for heavy, light in E8_GOLDEN_PAIRS
-    )
-    checks.append(
-        check(
-            "golden-ratio-mass-ratios",
-            golden_res,
-            1e-10,
-            "u7/u1, u6/u2, u5/u3 and u4/u8 all equal (1+sqrt(5))/2",
-        )
-    )
-
-    prod_a = u[1] * u[4] * u[6] * u[7]
-    prod_b = u[0] * u[2] * u[3] * u[5]
-    checks.append(
-        check(
-            "cross-product-identity",
-            abs(prod_a - prod_b) / abs(prod_b),
-            1e-10,
-            f"u2*u5*u7*u8 = u1*u3*u4*u6 = {prod_b:.6f}",
-        )
-    )
-
-    scale = _mass_scale(rs, u)
-    checks.append(
-        check(
-            "mass-scale-constant-term",
-            abs(scale**4 * prod_a**2 - 720.0) / 720.0,
-            1e-10,
-            "fourth power of the scale times the squared particle-product equals 720",
-        )
-    )
-    closed = closed_form_mass_scale()
-    checks.append(
-        check(
-            "mass-scale-closed-form",
-            abs(scale - closed) / closed,
-            1e-10,
-            f"determinant-fitted scale matches 2 sqrt(3) sin(6 pi/30)/sin(pi/30) = {closed:.10f}",
-        )
-    )
-
-    partition_res = 0.0
-    for quartic, labels in zip(E8_MASS_QUARTICS, E8_QUARTIC_LABELS):
-        for label in labels:
-            msq = scale * u[label - 1] ** 2
-            partition_res = max(
-                partition_res, abs(quartic.evaluate(msq)) / quartic.magnitude_at(msq)
-            )
-    checks.append(
-        check(
-            "quartic-root-partition",
-            partition_res,
-            1e-10,
-            "squared masses of particles 2,5,7,8 are the roots of "
-            f"{E8_MASS_QUARTICS[0]}; particles 1,3,4,6 match {E8_MASS_QUARTICS[1]}",
-        )
-    )
-    return CheckReport(tuple(checks))

@@ -24,13 +24,6 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Iterator
 
-from .exact_poly import refine_real_roots
-from .masses import (
-    E8,
-    E8_MASS_QUARTICS,
-    E8_QUARTIC_LABELS,
-    perron_components,
-)
 from .report import CheckReport, CheckResult, check
 
 
@@ -380,7 +373,11 @@ def match_eigenvalue_exponents() -> list[tuple[int, float, float]]:
 
 
 def radical_identity_suite() -> CheckReport:
-    """Verify every closed form against trigonometric and spectral references."""
+    """Verify the eigenvalue and trigonometric closed forms against trigonometry.
+
+    The mass closed forms are checked in :mod:`toda_spectrum.verify`, which
+    holds the E8 quartics and Perron components they are judged against.
+    """
     checks: list[CheckResult] = []
 
     matched = match_eigenvalue_exponents()
@@ -412,48 +409,6 @@ def radical_identity_suite() -> CheckReport:
             trig_res,
             1e-12,
             "; ".join(notes) if notes else "",
-        )
-    )
-
-    u = perron_components(E8)
-    quartic_of_label = {
-        label: quartic
-        for quartic, labels in zip(E8_MASS_QUARTICS, E8_QUARTIC_LABELS)
-        for label in labels
-    }
-    refined = {
-        id(quartic): refine_real_roots(quartic, 0.0, 25.0)
-        for quartic in E8_MASS_QUARTICS
-    }
-    root_res = 0.0
-    ratios = []
-    for label in range(1, 9):
-        value = eval_radical(MASS_CLOSED_FORMS[label])
-        doubled_square = 2.0 * value * value
-        quartic = quartic_of_label[label]
-        nearest = min(refined[id(quartic)], key=lambda r: abs(r - doubled_square))
-        root_res = max(root_res, abs(doubled_square - nearest) / abs(nearest))
-        ratios.append(value / u[label - 1])
-    checks.append(
-        check(
-            "mass-closed-forms-as-factor-roots",
-            root_res,
-            1e-9,
-            "doubling the square of form j gives the squared mass of particle j "
-            "(a root of its quartic); particles 2,5,7,8 land on the quartic "
-            "with quadratic coefficient 240, particles 1,3,4,6 on the 300 one",
-        )
-    )
-    ratio_res = max(ratios) / min(ratios) - 1.0
-    checks.append(
-        check(
-            "mass-closed-forms-proportional-to-masses",
-            ratio_res,
-            1e-12,
-            "each form divided by its Perron component is one constant, so the "
-            "forms scale like the masses themselves; the customary labelling of "
-            "these expressions as squared masses does not hold literally "
-            "(the squared mass is twice the square of the form)",
         )
     )
     return CheckReport(tuple(checks))

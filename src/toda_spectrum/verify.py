@@ -4,7 +4,8 @@
 command lists them:
 
 - ``e8-paper``: the eleven-entry E8 identity table (characteristic
-  polynomials, Perron components, golden ratios, closed forms);
+  polynomials, Perron components, golden ratios, closed forms), whose checks
+  and reference data are defined here and nowhere else;
 - ``all-ade``: cross-method agreement for every simply-laced algebra of
   rank <= 8;
 - ``exponents``: recovered exponents against the classical tables for every
@@ -13,23 +14,23 @@ command lists them:
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from . import classical
-from .exact_poly import poly_divide_exact
+from .exact_poly import RationalPolynomial, poly_divide_exact
 from .masses import (
     CONSISTENCY_TOL,
     E8,
-    E8_MASS_QUARTICS,
-    E8_PERRON_REFERENCE_4DP,
+    GOLDEN_RATIO,
+    _mass_scale,
     adjacency_char_poly,
     adjacency_eigen,
-    e8_identity_suite,
     mass_char_poly,
     mass_ratio_spread,
     perron_components,
 )
-from .radicals import radical_identity_suite
+from .radicals import MASS_CLOSED_FORMS, eval_radical, radical_identity_suite
 from .report import CheckReport, CheckResult, check, check_exact
 from .root_systems import root_system
 from .spectral import recover_exponents
@@ -39,6 +40,30 @@ MASS_CHARPOLY_E8 = (
     "x^8 - 60x^7 + 1440x^6 - 18000x^5 + 127440x^4 - 518400x^3"
     " + 1166400x^2 - 1296000x + 518400"
 )
+
+# E8 particle labels follow the Dynkin node numbering. Each pair below is
+# (heavier, lighter) with mass ratio equal to the golden ratio.
+E8_GOLDEN_PAIRS = ((7, 1), (6, 2), (5, 3), (4, 8))
+
+# Perron components of the E8 adjacency matrix rounded to four decimals,
+# normalised so component 5 equals 1 (the branch node carries the maximum).
+E8_PERRON_REFERENCE_4DP = (0.2091, 0.4158, 0.6180, 0.8135, 1.0, 0.6728, 0.3383, 0.5028)
+
+# The degree-8 characteristic polynomial of the E8 mass matrix splits into two
+# monic quartics. Each carries the squared masses of four particles; the label
+# sets below were established numerically (the swapped assignment misses the
+# roots by residuals around 1e2).
+E8_MASS_QUARTICS: tuple[RationalPolynomial, RationalPolynomial] = (
+    RationalPolynomial.of(720, -720, 240, -30, 1),
+    RationalPolynomial.of(720, -1080, 300, -30, 1),
+)
+E8_QUARTIC_LABELS: tuple[tuple[int, ...], tuple[int, ...]] = ((2, 5, 7, 8), (1, 3, 4, 6))
+
+
+def closed_form_mass_scale() -> float:
+    """The E8 mass scale in closed form: 2 sqrt(3) sin(6 pi/30) / sin(pi/30)."""
+    theta = math.pi / 30.0
+    return 2.0 * math.sqrt(3.0) * math.sin(6.0 * theta) / math.sin(theta)
 
 
 def _merged_check(name: str, *parts: CheckResult) -> CheckResult:
@@ -60,39 +85,93 @@ def _merged_check(name: str, *parts: CheckResult) -> CheckResult:
 
 def _e8_suite_checks() -> CheckReport:
     """The eleven-entry E8 verification table."""
-    identity = e8_identity_suite()
-    radical = radical_identity_suite()
-
     a_poly = adjacency_char_poly(E8)
+    eigenvalue_forms, trig_forms = radical_identity_suite()
     u = perron_components(E8)
     perron_res = max(abs(x - ref) for x, ref in zip(u, E8_PERRON_REFERENCE_4DP))
+    golden_res = max(
+        abs(u[heavy - 1] / u[light - 1] - GOLDEN_RATIO) / GOLDEN_RATIO
+        for heavy, light in E8_GOLDEN_PAIRS
+    )
     m_poly = mass_char_poly(E8)
     quotient, remainder = poly_divide_exact(m_poly, E8_MASS_QUARTICS[0])
+    prod_a = u[1] * u[4] * u[6] * u[7]
+    prod_b = u[0] * u[2] * u[3] * u[5]
+    scale = _mass_scale(root_system(E8), u)
+    closed = closed_form_mass_scale()
+    root_res = 0.0
+    ratios = []
+    for quartic, labels in zip(E8_MASS_QUARTICS, E8_QUARTIC_LABELS):
+        for label in labels:
+            value = eval_radical(MASS_CLOSED_FORMS[label])
+            doubled_square = 2.0 * value * value
+            root_res = max(
+                root_res,
+                abs(quartic.evaluate(doubled_square)) / quartic.magnitude_at(doubled_square),
+            )
+            ratios.append(value / u[label - 1])
+
     return CheckReport(
         (
             check_exact("adjacency-charpoly", str(a_poly) == ADJACENCY_CHARPOLY_E8, str(a_poly)),
-            radical["eigenvalue-closed-forms"],
+            eigenvalue_forms,
             check(
                 "perron-components",
                 perron_res,
                 5e-5,
                 "components match the four-decimal reference row",
             ),
-            identity["golden-ratio-mass-ratios"],
-            radical["trig-closed-forms"],
+            check(
+                "golden-ratio-mass-ratios",
+                golden_res,
+                1e-10,
+                "u7/u1, u6/u2, u5/u3 and u4/u8 all equal (1+sqrt(5))/2",
+            ),
+            trig_forms,
             check_exact("mass-charpoly", str(m_poly) == MASS_CHARPOLY_E8, str(m_poly)),
             check_exact(
                 "quartic-factorization",
                 remainder.is_zero and quotient == E8_MASS_QUARTICS[1],
                 f"quotient {quotient}; remainder {remainder}",
             ),
-            identity["cross-product-identity"],
-            identity["mass-scale-constant-term"],
-            identity["mass-scale-closed-form"],
+            check(
+                "cross-product-identity",
+                abs(prod_a - prod_b) / abs(prod_b),
+                1e-10,
+                f"u2*u5*u7*u8 = u1*u3*u4*u6 = {prod_b:.6f}",
+            ),
+            check(
+                "mass-scale-constant-term",
+                abs(scale**4 * prod_a**2 - 720.0) / 720.0,
+                1e-10,
+                "fourth power of the scale times the squared particle-product equals 720",
+            ),
+            check(
+                "mass-scale-closed-form",
+                abs(scale - closed) / closed,
+                1e-10,
+                "determinant-fitted scale matches 2 sqrt(3) sin(6 pi/30)/sin(pi/30) = "
+                f"{closed:.10f}",
+            ),
             _merged_check(
                 "mass-closed-forms",
-                radical["mass-closed-forms-as-factor-roots"],
-                radical["mass-closed-forms-proportional-to-masses"],
+                check(
+                    "mass-closed-forms-as-factor-roots",
+                    root_res,
+                    1e-9,
+                    "doubling the square of form j gives the squared mass of particle j "
+                    "(a root of its quartic); particles 2,5,7,8 land on the quartic "
+                    "with quadratic coefficient 240, particles 1,3,4,6 on the 300 one",
+                ),
+                check(
+                    "mass-closed-forms-proportional-to-masses",
+                    max(ratios) / min(ratios) - 1.0,
+                    1e-12,
+                    "each form divided by its Perron component is one constant, so the "
+                    "forms scale like the masses themselves; the customary labelling of "
+                    "these expressions as squared masses does not hold literally "
+                    "(the squared mass is twice the square of the form)",
+                ),
             ),
         )
     )

@@ -15,9 +15,6 @@ from toda_spectrum.exact_poly import (
     refine_real_roots,
 )
 from toda_spectrum.masses import (
-    E8_MASS_QUARTICS,
-    E8_QUARTIC_LABELS,
-    closed_form_mass_scale,
     mass_char_poly,
     mass_ratio_spread,
     perron_components,
@@ -28,10 +25,15 @@ from toda_spectrum.radicals import (
     TRIG_CLOSED_FORMS,
     eval_radical,
     match_eigenvalue_exponents,
-    radical_identity_suite,
 )
 from toda_spectrum.root_systems import cartan_matrix, dynkin_adjacency, root_system
 from toda_spectrum.spectral import jacobi_eigen, recover_exponents
+from toda_spectrum.verify import (
+    E8_MASS_QUARTICS,
+    E8_QUARTIC_LABELS,
+    SUITES,
+    closed_form_mass_scale,
+)
 
 
 def _report(number: int, text: str) -> None:
@@ -126,8 +128,7 @@ def test_criterion_08_radical_suite():
             assert abs(doubled_square - nearest) / nearest <= 1e-9
             ratios.append(value / u[label - 1])
     assert max(ratios) / min(ratios) - 1.0 <= 1e-12
-    report = radical_identity_suite()
-    detail = report["mass-closed-forms-proportional-to-masses"].detail
+    detail = SUITES["e8-paper"]()["mass-closed-forms"].detail
     assert "squared masses does not hold literally" in detail
     print(
         "ACCEPTANCE  8: NOTE - the nested-radical mass forms scale like the masses "

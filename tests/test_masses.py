@@ -6,18 +6,13 @@ import pytest
 
 from toda_spectrum import classical, masses, root_systems, verify
 from toda_spectrum.masses import (
-    E8_GOLDEN_PAIRS,
-    E8_MASS_QUARTICS,
-    E8_QUARTIC_LABELS,
     GOLDEN_RATIO,
     NULL_EIGENVALUE_TOL,
     ConsistencyError,
     MassMethod,
     adjacency_eigen,
     adjacency_symmetrized,
-    closed_form_mass_scale,
     consistency_check,
-    e8_identity_suite,
     mass_char_poly,
     mass_matrix,
     mass_matrix_embedded,
@@ -28,6 +23,12 @@ from toda_spectrum.masses import (
 )
 from toda_spectrum.root_systems import AlgebraId, root_system
 from toda_spectrum.spectral import jacobi_eigen, symmetric_eigenvalues
+from toda_spectrum.verify import (
+    E8_GOLDEN_PAIRS,
+    E8_MASS_QUARTICS,
+    E8_QUARTIC_LABELS,
+    closed_form_mass_scale,
+)
 
 ADE = classical.simply_laced_algebras(8)
 
@@ -322,21 +323,8 @@ def test_consistency_error_is_consistency_specific():
 
 
 # ---------------------------------------------------------------------------
-# E8 identity suite
+# E8 identities
 # ---------------------------------------------------------------------------
-
-
-def test_e8_identity_suite_all_pass():
-    report = e8_identity_suite()
-    assert report.all_passed
-    names = [c.name for c in report]
-    assert names == [
-        "golden-ratio-mass-ratios",
-        "cross-product-identity",
-        "mass-scale-constant-term",
-        "mass-scale-closed-form",
-        "quartic-root-partition",
-    ]
 
 
 def test_golden_ratio_pairs():
@@ -379,6 +367,25 @@ def test_quartic_root_partition_matches_method1_labels():
         for label in labels
     )
     assert swapped_residual > 100.0
+
+
+def test_perron_times_scale_squares_are_roots_of_their_quartic():
+    # the squared mass of particle j is the determinant-fitted scale times u_j^2;
+    # it is a root of the quartic E8_QUARTIC_LABELS assigns it, and of neither
+    # quartic under the swapped assignment
+    u = perron_components("E8")
+    scale = masses._mass_scale(root_system("E8"), u)
+
+    def residuals(assignment):
+        return [
+            abs(quartic.evaluate(scale * u[label - 1] ** 2))
+            / quartic.magnitude_at(scale * u[label - 1] ** 2)
+            for quartic, labels in zip(E8_MASS_QUARTICS, assignment)
+            for label in labels
+        ]
+
+    assert max(residuals(E8_QUARTIC_LABELS)) <= 1e-10
+    assert min(residuals(tuple(reversed(E8_QUARTIC_LABELS)))) > 1e-3
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6", "E7"])

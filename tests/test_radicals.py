@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toda_spectrum.exact_poly import refine_real_roots
-from toda_spectrum.masses import E8_MASS_QUARTICS, closed_form_mass_scale, perron_components
+from toda_spectrum.masses import perron_components
 from toda_spectrum.radicals import (
     EIGENVALUE_CLOSED_FORMS,
     MASS_CLOSED_FORMS,
@@ -19,6 +19,7 @@ from toda_spectrum.radicals import (
     radical_identity_suite,
     sqrt,
 )
+from toda_spectrum.verify import E8_MASS_QUARTICS, SUITES, closed_form_mass_scale
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +178,7 @@ def test_parse_rejects_bad_syntax(bad):
 def test_radical_identity_suite_all_pass():
     report = radical_identity_suite()
     assert report.all_passed
-    assert [c.name for c in report] == [
-        "eigenvalue-closed-forms",
-        "trig-closed-forms",
-        "mass-closed-forms-as-factor-roots",
-        "mass-closed-forms-proportional-to-masses",
-    ]
+    assert [c.name for c in report] == ["eigenvalue-closed-forms", "trig-closed-forms"]
 
 
 def test_eigenvalue_forms_pair_with_exponents_by_value():
@@ -243,6 +239,5 @@ def test_mass_forms_double_squares_are_quartic_roots():
 
 
 def test_labeling_discrepancy_is_reported_not_silenced():
-    report = radical_identity_suite()
-    detail = report["mass-closed-forms-proportional-to-masses"].detail
+    detail = SUITES["e8-paper"]()["mass-closed-forms"].detail
     assert "squared masses does not hold literally" in detail

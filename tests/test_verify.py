@@ -1,7 +1,13 @@
-from toda_spectrum import masses
+import ast
+import pathlib
+
+import toda_spectrum
+from toda_spectrum import masses, verify
 from toda_spectrum.masses import CONSISTENCY_TOL
 from toda_spectrum.report import CheckReport, ExactCheckResult, check, check_exact
 from toda_spectrum.verify import SUITES, _merged_check
+
+PACKAGE = pathlib.Path(toda_spectrum.__file__).parent
 
 E8_TABLE = [
     "adjacency-charpoly",
@@ -95,3 +101,36 @@ def test_with_tolerance_keeps_exact_checks_exact():
     assert not loose.all_passed
     assert CheckReport((check_exact("x", True),)).with_tolerance(0.0).all_passed
     assert CheckReport((check("y", 1.0, 0.0),)).with_tolerance(1.0).all_passed  # re-judged
+
+
+def test_swapped_quartic_labels_fail_the_mass_closed_forms_row(monkeypatch):
+    monkeypatch.setattr(verify, "E8_QUARTIC_LABELS", tuple(reversed(verify.E8_QUARTIC_LABELS)))
+    row = SUITES["e8-paper"]()["mass-closed-forms"]
+    assert not row.passed
+    assert row.residual > 1e-3  # the root residual, not the proportionality part
+    assert row.tolerance == 1e-9
+
+
+def _package_imports(module: str) -> set[str]:
+    """The ``toda_spectrum`` modules that ``module`` imports, relatively or by absolute name."""
+    paths = []
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            paths += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "toda_spectrum." + base if base else "toda_spectrum"
+            if base == "toda_spectrum":
+                paths += [f"{base}.{a.name}" for a in node.names]
+            else:
+                paths.append(base)
+    return {p.partition(".")[2] for p in paths if p.partition(".")[0] == "toda_spectrum"}
+
+
+def test_radicals_imports_only_report_from_the_package():
+    assert _package_imports("radicals") <= {"report"}
+
+
+def test_masses_imports_no_check_module():
+    assert not _package_imports("masses") & {"report", "radicals", "verify"}
