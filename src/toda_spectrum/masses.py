@@ -11,12 +11,12 @@ weighted by the marks, with weight one on the lowest root). Its eigenvalues
 are the squared masses. They are computed on the affine Dynkin diagram: the
 (n+1) x (n+1) matrix W^(1/2) G' W^(1/2), with G' the Gram matrix of the
 affine family and W = diag(1, marks), has the same eigenvalues plus one zero.
-It is built from the nonzero Gram entries in O(n + bonds) and reduced as a
-band matrix. The dense embedded matrix (``mass_matrix_embedded``) is kept as
-the tests' independent reference. The same spectrum is carried by an exact
-rational matrix - the mark-weighted coefficient outer-product sum times the
-Gram matrix - so the characteristic polynomial can be computed with no
-floating point at all.
+It is built from the nonzero Gram entries in O(n + bonds), as a diagonal and
+a bond list, and reduced as a band matrix. The dense embedded matrix
+(``mass_matrix_embedded``) is kept as the tests' independent reference. The
+same spectrum is carried by an exact rational matrix - the mark-weighted
+coefficient outer-product sum times the Gram matrix - so the characteristic
+polynomial can be computed with no floating point at all.
 
 For simply-laced algebras the two routes agree node by node; for B, C, F and G
 both spectra are reported without asserting agreement. The E8 identity checks
@@ -40,7 +40,7 @@ from .root_systems import (
     embed_roots,
     root_system,
 )
-from .spectral import perron_vector, symmetric_eigenvalues
+from .spectral import eigenvalues_from_bonds, perron_vector
 
 E8 = AlgebraId("E", 8)
 
@@ -189,28 +189,38 @@ def mass_matrix_embedded(algebra: AlgebraId | str) -> list[list[float]]:
     return b
 
 
+Bonds = tuple[list[float], list[tuple[int, int, float]]]
+
+
 def _gram_entries(rs: RootSystem) -> list[tuple[int, int, float]]:
-    """``(i, j, G_ij)`` for every nonzero Gram entry, the diagonal included.
+    """``(i, j, G_ij)`` for every nonzero Gram entry with i <= j, the diagonal included.
 
     Read off the Cartan bonds, so a call converts O(n + bonds) ``Fraction``
     entries to float rather than n^2.
     """
-    return [(i, j, float(rs.gram[i][j])) for i, row in enumerate(rs.cartan.bonds) for j, _ in row]
+    return [
+        (i, j, float(rs.gram[i][j]))
+        for i, row in enumerate(rs.cartan.bonds)
+        for j, _ in row
+        if i <= j
+    ]
 
 
-def _affine_mass_matrix(rs: RootSystem) -> list[list[float]]:
-    """The (n+1) x (n+1) matrix W^(1/2) G' W^(1/2) on the affine Dynkin diagram.
+def _affine_bonds(rs: RootSystem) -> Bonds:
+    """Diagonal and bonds of the (n+1) x (n+1) matrix W^(1/2) G' W^(1/2).
 
-    G' is the Gram matrix of the affine root family, node 0 the lowest root
-    -theta, and W = diag(1, marks). With V the matrix whose rows are the
-    family's vectors, the mass matrix is V^T W V, so its eigenvalues are the
-    nonzero ones of W^(1/2) V V^T W^(1/2), which is this matrix. Its one
-    other eigenvalue is 0, with eigenvector (1, sqrt(marks)), because the
-    family weighted by (1, marks) sums to zero.
+    The matrix lives on the affine Dynkin diagram. G' is the Gram matrix of
+    the affine root family, node 0 the lowest root -theta, and W = diag(1,
+    marks). With V the matrix whose rows are the family's vectors, the mass
+    matrix is V^T W V, so its eigenvalues are the nonzero ones of
+    W^(1/2) V V^T W^(1/2), which is this matrix. Its one other eigenvalue is
+    0, with eigenvector (1, sqrt(marks)), because the family weighted by
+    (1, marks) sums to zero.
 
     Built in O(n + bonds) from the nonzero Gram entries: G'_00 = 2, and
     G'_0j = -sum_k marks_k G_kj = -p_j G_jj / 2, where the integer p_j is the
-    pairing of theta with coroot j, nonzero only where node 0 bonds.
+    pairing of theta with coroot j, nonzero only where node 0 bonds. Each
+    bond ``(i, j, x)`` has i < j, as :func:`eigenvalues_from_bonds` takes it.
     """
     n = rs.rank
     marks = rs.marks
@@ -218,27 +228,51 @@ def _affine_mass_matrix(rs: RootSystem) -> list[list[float]]:
     for k, row in enumerate(rs.cartan.bonds):
         for j, c in row:
             pairing[j] += marks[k] * c
-    m = [[0.0] * (n + 1) for _ in range(n + 1)]
-    m[0][0] = 2.0
+    diagonal = [2.0] + [0.0] * n
+    bonds = []
     for i, j, g in _gram_entries(rs):
-        m[i + 1][j + 1] = math.sqrt(marks[i] * marks[j]) * g
-        if i == j and pairing[j]:
-            m[0][j + 1] = m[j + 1][0] = -math.sqrt(marks[j]) * (pairing[j] * g / 2.0)
+        x = math.sqrt(marks[i] * marks[j]) * g
+        if i < j:
+            bonds.append((i + 1, j + 1, x))
+            continue
+        diagonal[i + 1] = x
+        if pairing[j]:
+            bonds.append((0, j + 1, -math.sqrt(marks[j]) * (pairing[j] * g / 2.0)))
+    return diagonal, bonds
+
+
+def _adjacency_bonds(rs: RootSystem) -> Bonds:
+    """Diagonal and bonds of the symmetric matrix similar to 2I - C.
+
+    Its diagonal is zero, and each bond is -G_ij / sqrt(d_i d_j).
+    """
+    d = [math.sqrt(float(x)) for x in rs.symmetrizers]
+    bonds = [(i, j, -g / (d[i] * d[j])) for i, j, g in _gram_entries(rs) if i < j]
+    return [0.0] * rs.rank, bonds
+
+
+def _dense(diagonal: list[float], bonds: list[tuple[int, int, float]]) -> list[list[float]]:
+    """The symmetric matrix with this diagonal and these bonds, every other entry 0."""
+    n = len(diagonal)
+    m = [[0.0] * n for _ in range(n)]
+    for i, x in enumerate(diagonal):
+        m[i][i] = x
+    for i, j, x in bonds:
+        m[i][j] = m[j][i] = x
     return m
+
+
+def _affine_mass_matrix(rs: RootSystem) -> list[list[float]]:
+    """The dense view of :func:`_affine_bonds`; no algebra request builds it."""
+    return _dense(*_affine_bonds(rs))
 
 
 def adjacency_symmetrized(rs: RootSystem) -> list[list[float]]:
     """Symmetric matrix similar to 2I - C (entrywise -G_ij / sqrt(d_i d_j) off the diagonal).
 
-    Filled from the nonzero Gram entries, like :func:`_affine_mass_matrix`.
+    The dense view of the bonds the adjacency eigenvalues are computed from.
     """
-    n = rs.rank
-    d = [math.sqrt(float(x)) for x in rs.symmetrizers]
-    a = [[0.0] * n for _ in range(n)]
-    for i, j, g in _gram_entries(rs):
-        if i != j:
-            a[i][j] = -g / (d[i] * d[j])
-    return a
+    return _dense(*_adjacency_bonds(rs))
 
 
 @dataclass(frozen=True)
@@ -249,8 +283,8 @@ class AdjacencyEigenvalues:
 
 
 def adjacency_eigen(algebra: AlgebraId | str) -> AdjacencyEigenvalues:
-    """Adjacency eigenvalues, from the symmetrized similar matrix (no eigenvectors)."""
-    return AdjacencyEigenvalues(symmetric_eigenvalues(adjacency_symmetrized(root_system(algebra))))
+    """Adjacency eigenvalues, from the bonds of the symmetrized similar matrix (no eigenvectors)."""
+    return AdjacencyEigenvalues(eigenvalues_from_bonds(*_adjacency_bonds(root_system(algebra))))
 
 
 def perron_components(algebra: AlgebraId | str) -> tuple[float, ...]:
@@ -278,11 +312,11 @@ NULL_EIGENVALUE_TOL = 1e-12
 def _mass_squares(aid: AlgebraId) -> tuple[float, ...]:
     """Mass-matrix eigenvalues in ascending order, computed once per algebra.
 
-    They are the eigenvalues of :func:`_affine_mass_matrix` less its null one.
-    Raises ``ConsistencyError`` unless exactly one eigenvalue is at rounding
-    level and every other one is positive.
+    They are the eigenvalues of the affine matrix of :func:`_affine_bonds`
+    less its null one. Raises ``ConsistencyError`` unless exactly one
+    eigenvalue is at rounding level and every other one is positive.
     """
-    eigenvalues = symmetric_eigenvalues(_affine_mass_matrix(root_system(aid)))
+    eigenvalues = eigenvalues_from_bonds(*_affine_bonds(root_system(aid)))
     squares = [x for x in eigenvalues if abs(x) > NULL_EIGENVALUE_TOL * eigenvalues[0]]
     if len(squares) != len(eigenvalues) - 1:
         raise ConsistencyError(

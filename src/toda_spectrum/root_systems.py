@@ -85,29 +85,6 @@ class AlgebraId:
         return f"{self.family}{self.rank}"
 
 
-def _tree_order(entries: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
-    """(node, parent) pairs in breadth-first order from node 0, whose parent is -1.
-
-    Raises unless the bonds (nonzero off-diagonal entries) join the n nodes
-    into one connected tree: n - 1 bonds, every node reached from node 0.
-    """
-    n = len(entries)
-    bonds = sum(1 for i, row in enumerate(entries) for v in row[:i] if v)
-    order = [(0, -1)] if n else []
-    reached = {0}
-    for node, _ in order:
-        for j, v in enumerate(entries[node]):
-            if v and j not in reached:
-                reached.add(j)
-                order.append((j, node))
-    if bonds != n - 1 or len(order) != n:
-        raise InvalidAlgebraError(
-            f"Dynkin diagram with {n} nodes and {bonds} bonds is not a connected tree; "
-            "matrix is not of finite type"
-        )
-    return order
-
-
 @dataclass(frozen=True)
 class CartanMatrix:
     """Integer Cartan matrix of finite type.
@@ -120,7 +97,9 @@ class CartanMatrix:
     exact pivots of a leaf-first elimination must all be positive. Scaling
     the columns by the positive symmetrizers keeps every pivot's sign, so
     this is positive definiteness of the symmetrized matrix. The elimination
-    fills nothing on a tree and costs O(n) after the O(n^2) entry scan.
+    fills nothing on a tree and costs O(n) after the O(n^2) entry scan; its
+    pivots are integer pairs (numerator, positive denominator) in lowest
+    terms, the values a ``Fraction`` elimination would reach.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -140,15 +119,20 @@ class CartanMatrix:
                 if (v == 0) != (self.entries[j][i] == 0):
                     raise InvalidAlgebraError("Cartan zero pattern must be symmetric")
         # leaf-first elimination: on a tree it fills nothing, and each pivot
-        # is final once the node's children are eliminated
-        pivot = [Fraction(2)] * n
-        for i, p in reversed(_tree_order(self.entries)):
-            if pivot[i] <= 0:
+        # num[i] / den[i] is final once the node's children are eliminated
+        num, den = [2] * n, [1] * n
+        for i, p in reversed(self.tree_order):
+            if num[i] <= 0:
+                shown = f"{num[i]}/{den[i]}" if den[i] != 1 else num[i]
                 raise InvalidAlgebraError(
-                    f"pivot {pivot[i]} at node {i} is not positive; matrix is not of finite type"
+                    f"pivot {shown} at node {i} is not positive; matrix is not of finite type"
                 )
             if p >= 0:
-                pivot[p] -= Fraction(self.entries[p][i] * self.entries[i][p]) / pivot[i]
+                # pivot[p] -= C_pi C_ip / pivot[i], over the denominator den[p] num[i]
+                top = num[p] * num[i] - self.entries[p][i] * self.entries[i][p] * den[p] * den[i]
+                bottom = den[p] * num[i]
+                g = math.gcd(top, bottom)
+                num[p], den[p] = top // g, bottom // g
 
     @property
     def rank(self) -> int:
@@ -158,6 +142,29 @@ class CartanMatrix:
     def bonds(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node i, the nonzero entries ``(j, C_ij)`` of row i, the diagonal included."""
         return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in self.entries)
+
+    @functools.cached_property
+    def tree_order(self) -> tuple[tuple[int, int], ...]:
+        """(node, parent) pairs in breadth-first order from node 0, whose parent is -1.
+
+        Read off :attr:`bonds`. Raises unless the bonds join the n nodes into
+        one connected tree: n - 1 bonds, every node reached from node 0.
+        """
+        n = self.rank
+        edges = (sum(map(len, self.bonds)) - n) // 2  # the diagonal is in every row
+        order = [(0, -1)] if n else []
+        reached = {0}
+        for node, _ in order:
+            for j, _ in self.bonds[node]:
+                if j not in reached:
+                    reached.add(j)
+                    order.append((j, node))
+        if edges != n - 1 or len(order) != n:
+            raise InvalidAlgebraError(
+                f"Dynkin diagram with {n} nodes and {edges} bonds is not a connected tree; "
+                "matrix is not of finite type"
+            )
+        return tuple(order)
 
 
 def cartan_matrix(algebra: AlgebraId) -> CartanMatrix:
@@ -260,13 +267,18 @@ class RootSystem:
 
 
 def _symmetrizers(cartan: CartanMatrix) -> tuple[Fraction, ...]:
-    """Per-node rational weights making C_ij * d_j symmetric, scaled so max(d) = 1."""
+    """Per-node rational weights making C_ij * d_j symmetric, scaled so max(d) = 1.
+
+    A simple bond passes its parent's weight on unchanged, so a new
+    ``Fraction`` is made only across a multiple bond.
+    """
     d = [Fraction(1)] * cartan.rank
-    for i, p in _tree_order(cartan.entries)[1:]:
+    for i, p in cartan.tree_order[1:]:
         # symmetry of the Gram form: C_pi d_i = C_ip d_p
-        d[i] = d[p] * Fraction(cartan.entries[i][p], cartan.entries[p][i])
+        cip, cpi = cartan.entries[i][p], cartan.entries[p][i]
+        d[i] = d[p] if cip == cpi else d[p] * Fraction(cip, cpi)
     top = max(d)
-    return tuple(x / top for x in d)
+    return tuple(d) if top == 1 else tuple(x / top for x in d)
 
 
 def _raise_to_dominant(

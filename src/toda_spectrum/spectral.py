@@ -2,19 +2,23 @@
 vectors by shifted power iteration, and algebra exponents from adjacency
 eigenvalues. Tolerances are fixed constants so repeated runs are bit-identical.
 
-``symmetric_eigenvalues``, which every algebra request uses, computes
-eigenvalues only. Reverse Cuthill-McKee turns a Dynkin matrix, affine or not,
-into a band of width b <= 3, Givens rotations reduce the band to tridiagonal
-form in O(n^2 b), and implicit QL takes O(n^2); dense input is b = n - 1.
-Each solve is checked against sum(lambda) = tr M and sum(lambda^2) =
-||M||_F^2. No algebra request runs the cyclic Jacobi solver ``jacobi_eigen``
-(O(n^3) per sweep, with eigenvectors): it is the tests' eigenvector reference,
-and the benchmark's tracer wraps it by name. A power-iteration step visits
-only the nonzero entries of each column, O(n + nonzeros) in all.
+Every algebra request enters ``eigenvalues_from_bonds`` with the diagonal
+and the bond list of its Dynkin matrix, and gets eigenvalues only. Reverse
+Cuthill-McKee turns a Dynkin matrix, affine or not, into a band of width
+b <= 3, Givens rotations reduce the band to tridiagonal form in O(n^2 b),
+implicit QL takes O(n^2), and the rest is O(n + bonds). The dense
+``symmetric_eigenvalues`` hands its diagonal and nonzero entries to the same
+solver; dense input is b = n - 1, at O(n^3). Each solve is checked against
+sum(lambda) = tr M and sum(lambda^2) = ||M||_F^2. No algebra request runs the
+cyclic Jacobi solver ``jacobi_eigen`` (O(n^3) per sweep, with eigenvectors):
+it is the tests' eigenvector reference, and the benchmark's tracer wraps it
+by name. A power-iteration step visits only the nonzero entries of each
+column, O(n + nonzeros) in all.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -72,35 +76,81 @@ def _symmetric_copy(m: Matrix) -> list[list[float]]:
 
 
 def symmetric_eigenvalues(m: Matrix) -> tuple[float, ...]:
-    """Eigenvalues of a symmetric matrix in descending order, without eigenvectors.
+    """Eigenvalues of a dense symmetric matrix in descending order, without eigenvectors.
 
-    Renumbered by reverse Cuthill-McKee, reduced as a band matrix to tridiagonal
-    form, then diagonalised by implicit QL with Wilkinson shifts (EISPACK tql1).
-    Raises ``ValueError`` unless ``m`` is square and symmetric, ``RuntimeError``
-    if QL needs more than 30 iterations for one eigenvalue or if the eigenvalues
-    miss sum = trace or sum of squares = squared Frobenius norm by 1e-12 relative.
+    Raises ``ValueError`` unless ``m`` is square and symmetric, then passes its
+    diagonal and its nonzero entries above the diagonal to
+    :func:`eigenvalues_from_bonds`, which raises ``RuntimeError`` as described
+    there. The copy and the scan visit all n^2 entries, and the band that
+    dense input leaves is b = n - 1, so the reduction costs O(n^3); no algebra
+    request comes this way.
     """
     a = _symmetric_copy(m)
+    n = len(a)
+    bonds = [(i, j, row[j]) for i, row in enumerate(a) for j in range(i + 1, n) if row[j]]
+    return eigenvalues_from_bonds([a[i][i] for i in range(n)], bonds)
+
+
+def eigenvalues_from_bonds(
+    diagonal: Sequence[float], bonds: Sequence[tuple[int, int, float]]
+) -> tuple[float, ...]:
+    """Eigenvalues, descending, of the symmetric matrix given by its diagonal and its bonds.
+
+    Each bond ``(i, j, x)`` with i < j sets entries (i, j) and (j, i) to x and
+    names its pair once; every other off-diagonal entry is zero. Reverse
+    Cuthill-McKee renumbers the nodes, the band is reduced to tridiagonal
+    form, and implicit QL with Wilkinson shifts (EISPACK tql1) diagonalises
+    it. Outside the band reduction and QL, the work is O(n + bonds).
+
+    Raises ``ValueError`` for a bond that is not a pair i < j of the nodes
+    or that repeats a pair, ``RuntimeError`` if QL needs more than 30
+    iterations for one eigenvalue or if the eigenvalues miss sum = trace or
+    sum of squares = squared Frobenius norm by 1e-12 relative.
+    """
+    n = len(diagonal)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j, _ in bonds:
+        if not 0 <= i < j < n:
+            raise ValueError(f"bond ({i}, {j}) is not a pair i < j of the {n} nodes")
+        adj[i].append(j)
+        adj[j].append(i)
+    if len({(i, j) for i, j, _ in bonds}) != len(bonds):
+        raise ValueError("a pair of nodes has more than one bond")
+    for neighbours in adj:
+        neighbours.sort()
     # scale by a power of two so that the largest entry lies in [1/2, 1): exact
     # for every entry above 2^-1022, and no entry that matters is subnormal
-    top = max((abs(x) for row in a for x in row), default=0.0)
+    top = max(map(abs, itertools.chain(diagonal, (x for _, _, x in bonds))), default=0.0)
     shift = math.frexp(top)[1]
-    order = _reverse_cuthill_mckee(a)
-    a = [[math.ldexp(a[i][j], -shift) for j in order] for i in order]
-    eigenvalues = _ql_implicit(*_band_to_tridiagonal([row[:] for row in a]))
-    _check_invariants(a, eigenvalues)
+    at = [0] * n
+    for k, node in enumerate(_reverse_cuthill_mckee(adj)):
+        at[node] = k
+    # the renumbered matrix, lower triangle only: row k holds columns 0..k
+    a = [[0.0] * (k + 1) for k in range(n)]
+    diag = [math.ldexp(x, -shift) for x in diagonal]
+    for node, x in enumerate(diag):
+        a[at[node]][at[node]] = x
+    off, b = [], 0
+    for i, j, x in bonds:
+        p, q = sorted((at[i], at[j]))
+        a[q][p] = x = math.ldexp(x, -shift)
+        off.append(x)
+        if x:  # an entry can underflow in the scaling
+            b = max(b, q - p)
+    eigenvalues = _ql_implicit(*_band_to_tridiagonal(a, b))
+    _check_invariants(diag, off, eigenvalues)
     return tuple(sorted((math.ldexp(x, shift) for x in eigenvalues), reverse=True))
 
 
-def _reverse_cuthill_mckee(a: list[list[float]]) -> list[int]:
-    """An order of the nodes of ``a``'s graph that keeps its nonzeros near the diagonal.
+def _reverse_cuthill_mckee(adj: list[list[int]]) -> list[int]:
+    """An order of the nodes of a graph that keeps its bonds near the diagonal.
 
-    Each component is numbered breadth first, unseen neighbours by ascending
-    degree, from a pseudo-peripheral node: while that adds levels, restart from
-    a least-degree node of the last level. The order is then reversed (Cuthill
-    & McKee 1969; George & Liu 1981).
+    ``adj[v]`` lists the neighbours of node v in ascending order, which fixes
+    the tie-breaks. Each component is numbered breadth first, unseen
+    neighbours by ascending degree, from a pseudo-peripheral node: while that
+    adds levels, restart from a least-degree node of the last level. The
+    order is then reversed (Cuthill & McKee 1969; George & Liu 1981).
     """
-    adj = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(a)]
     degree = [len(x) for x in adj].__getitem__
 
     def bfs(root: int) -> list[list[int]]:
@@ -111,26 +161,29 @@ def _reverse_cuthill_mckee(a: list[list[float]]) -> list[int]:
         return levels
 
     order: list[int] = []
-    for start in sorted(range(len(a)), key=degree):
-        if start not in order:
+    numbered: set[int] = set()
+    for start in sorted(range(len(adj)), key=degree):
+        if start not in numbered:
             levels = bfs(start)
             while len(wider := bfs(min(levels[-1], key=degree))) > len(levels):
                 levels = wider
-            order += [v for level in levels for v in level]
+            component = [v for level in levels for v in level]
+            order += component
+            numbered.update(component)
     return order[::-1]
 
 
-def _band_to_tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float]]:
+def _band_to_tridiagonal(a: list[list[float]], b: int) -> tuple[list[float], list[float]]:
     """Diagonal and off-diagonal of a tridiagonal matrix orthogonally similar to ``a``.
 
-    With b the largest distance of a nonzero from the diagonal, each column is
-    cleared from the bottom of the band up by rotations in planes (i - 1, i).
-    A rotation leaves one entry b + 1 below the diagonal, which rotations b
-    rows apart chase off the end (Schwarz 1968; LAPACK sbtrd): O(n^2 b) in all,
-    and dense input is b = n - 1. Reads the lower triangle and overwrites it.
+    ``a`` holds the lower triangle, row i with columns 0..i, and b is the
+    largest distance of a nonzero from the diagonal. Each column is cleared
+    from the bottom of the band up by rotations in planes (i - 1, i). A
+    rotation leaves one entry b + 1 below the diagonal, which rotations b
+    rows apart chase off the end (Schwarz 1968; LAPACK sbtrd): O(n^2 b) in
+    all, and dense input is b = n - 1. Overwrites ``a``.
     """
     n = len(a)
-    b = max((i - j for i, row in enumerate(a) for j in range(i) if row[j]), default=0)
     for k in range(n - 2):
         for i in range(min(k + b, n - 1), k + 1, -1):
             p, q, col = i - 1, i, k  # rotate planes p, q to clear a[q][col]
@@ -205,14 +258,18 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
-def _check_invariants(a: list[list[float]], eigenvalues: list[float]) -> None:
+def _check_invariants(
+    diagonal: list[float], off_diagonal: list[float], eigenvalues: list[float]
+) -> None:
     """Raise unless sum(lambda) = tr a and sum(lambda^2) = ||a||_F^2.
 
-    The first is judged relative to sum |lambda|, the second relative to
-    ||a||_F^2, both at 1e-12; the sums are exact (``math.fsum``).
+    The symmetric matrix a has this diagonal, and each of ``off_diagonal``
+    twice off it. The first is judged relative to sum |lambda|, the second
+    relative to ||a||_F^2, both at 1e-12; the sums are exact (``math.fsum``).
     """
-    trace = math.fsum(row[i] for i, row in enumerate(a))
-    frobenius = math.fsum(x * x for row in a for x in row)
+    trace = math.fsum(diagonal)
+    squares = [x * x for x in off_diagonal]
+    frobenius = math.fsum(itertools.chain((x * x for x in diagonal), squares, squares))
     trace_err = abs(math.fsum(eigenvalues) - trace)
     frobenius_err = abs(math.fsum(x * x for x in eigenvalues) - frobenius)
     # written as "not <=" so that a NaN fails

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from toda_spectrum import classical, masses, root_systems, verify
+from toda_spectrum import classical, masses, root_systems, spectral, verify
 from toda_spectrum.masses import (
     GOLDEN_RATIO,
     NULL_EIGENVALUE_TOL,
@@ -22,7 +22,7 @@ from toda_spectrum.masses import (
     spectrum_method2,
 )
 from toda_spectrum.root_systems import AlgebraId, root_system
-from toda_spectrum.spectral import jacobi_eigen, symmetric_eigenvalues
+from toda_spectrum.spectral import eigenvalues_from_bonds, jacobi_eigen, symmetric_eigenvalues
 from toda_spectrum.verify import (
     E8_GOLDEN_PAIRS,
     E8_MASS_QUARTICS,
@@ -85,14 +85,14 @@ def test_spectrum_both_runs_each_float_solver_once(monkeypatch):
 
         return wrapper
 
-    for name in ("perron_vector", "symmetric_eigenvalues"):
+    for name in ("perron_vector", "eigenvalues_from_bonds"):
         monkeypatch.setattr(masses, name, counting(name, getattr(masses, name)))
     masses._perron_components.cache_clear()
     masses._mass_squares.cache_clear()
     spectrum_method1("E8")
     spectrum_method2("E8")
     mass_ratio_spread("E8")
-    assert sorted(calls) == ["perron_vector", "symmetric_eigenvalues"]
+    assert sorted(calls) == ["eigenvalues_from_bonds", "perron_vector"]
 
 
 def test_e8_mass_trace_is_twice_coxeter():
@@ -165,7 +165,7 @@ def test_affine_mass_matrix_has_one_null_vector(name):
     ],
 )
 def test_mass_squares_reject_a_wrong_null_space(eigenvalues, message, monkeypatch):
-    monkeypatch.setattr(masses, "symmetric_eigenvalues", lambda m: eigenvalues)
+    monkeypatch.setattr(masses, "eigenvalues_from_bonds", lambda diagonal, bonds: eigenvalues)
     with pytest.raises(ConsistencyError, match=message):
         masses._mass_squares.__wrapped__(AlgebraId("A", 3))
 
@@ -186,6 +186,38 @@ def test_sparse_adjacency_is_bit_identical_to_dense(name):
     # in the dense formula, is now 0.0, which compares equal
     rs = root_system(name)
     assert adjacency_symmetrized(rs) == _dense_adjacency(rs)
+
+
+# every algebra of rank <= 10, and A-D at ranks 19-31 and 64
+BOND_LADDER = classical.all_algebras(10) + [
+    f + str(r) for f in "ABCD" for r in (*range(19, 32), 64)
+]
+
+
+def _filled(diagonal, bonds):
+    """The dense matrix of a diagonal and a bond list, written out entry by entry."""
+    n = len(diagonal)
+    entries = {(i, j): x for i, j, x in bonds} | {(j, i): x for i, j, x in bonds}
+    return [
+        [diagonal[i] if i == j else entries.get((i, j), 0.0) for j in range(n)] for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("name", BOND_LADDER)
+def test_bond_list_path_is_bit_identical_to_the_dense_solver(name):
+    # float == is bit identity here: no entry or eigenvalue is NaN
+    rs = root_system(name)
+    for bonds, dense in (
+        (masses._affine_bonds(rs), masses._affine_mass_matrix(rs)),
+        (masses._adjacency_bonds(rs), adjacency_symmetrized(rs)),
+    ):
+        diagonal, off = bonds
+        assert all(i < j for i, j, _ in off)
+        assert len({(i, j) for i, j, _ in off}) == len(off)
+        assert dense == _filled(diagonal, off)
+        want = symmetric_eigenvalues(dense)
+        assert eigenvalues_from_bonds(diagonal, off) == want
+        assert eigenvalues_from_bonds(diagonal, off[::-1]) == want
 
 
 def _off_the_algebra_path(*args):
@@ -210,6 +242,32 @@ def test_algebra_requests_build_no_embedding(name, no_embedding):
     spectrum_method2(name)
     consistency_check(name)
     mass_char_poly(name)
+    adjacency_eigen(name)
+
+
+@pytest.fixture
+def no_dense_copy(monkeypatch):
+    """Fresh per-algebra caches, and the dense solver's symmetric copy raising."""
+
+    def dense_copy(m):
+        raise AssertionError("an algebra request made a dense symmetric copy")
+
+    monkeypatch.setattr(spectral, "_symmetric_copy", dense_copy)
+    for module, cached in (
+        (root_systems, "_root_system"),
+        (masses, "_mass_char_poly"),
+        (masses, "_perron_components"),
+        (masses, "_mass_squares"),
+    ):
+        fn = getattr(module, cached).__wrapped__
+        monkeypatch.setattr(module, cached, functools.lru_cache(maxsize=None)(fn))
+
+
+@pytest.mark.parametrize("name", ["E8", "A31", "D31"])
+def test_algebra_requests_make_no_dense_copy(name, no_dense_copy):
+    spectrum_method1(name)
+    spectrum_method2(name)
+    mass_ratio_spread(name)
     adjacency_eigen(name)
 
 

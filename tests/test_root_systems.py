@@ -103,6 +103,65 @@ def test_double_star_rejected_although_its_determinant_is_positive():
         CartanMatrix(DOUBLE_STAR)
 
 
+def _e_like(n):
+    """The E-family tree on n nodes: a chain 0..n-2, with node n-1 off node n-4."""
+    return _bonded(n, {(i, i + 1): (-1, -1) for i in range(n - 2)} | {(n - 4, n - 1): (-1, -1)})
+
+
+def _fraction_verdict(entries):
+    """The first nonpositive pivot of a leaf-first ``Fraction`` elimination, or None.
+
+    The reference for the integer pivots of ``CartanMatrix``, worded as it
+    words them. The tree is walked breadth first from node 0.
+    """
+    order, parent = [0], {0: -1}
+    for node in order:
+        for j, v in enumerate(entries[node]):
+            if v and j not in parent:
+                parent[j] = node
+                order.append(j)
+    pivot = [Fraction(2)] * len(entries)
+    for i in reversed(order):
+        if pivot[i] <= 0:
+            return f"pivot {pivot[i]} at node {i} is not positive"
+        if parent[i] >= 0:
+            p = parent[i]
+            pivot[p] -= Fraction(entries[p][i] * entries[i][p]) / pivot[i]
+    return None
+
+
+def _verdict(entries):
+    try:
+        CartanMatrix(entries)
+    except InvalidAlgebraError as err:
+        return str(err).removesuffix("; matrix is not of finite type")
+    return None
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (_bonded(5, {(1, j): (-1, -1) for j in (0, 2, 3, 4)}), "pivot 0 at node 0 is not positive"),
+        (_e_like(9), "pivot 0 at node 0 is not positive"),
+        (_e_like(10), "pivot 0 at node 1 is not positive"),
+        (DOUBLE_STAR, "pivot -1/2 at node 7 is not positive"),
+    ],
+    ids=["affine-D4-star", "T(2,3,6)-affine-E8", "T(2,3,7)", "double-star"],
+)
+def test_integer_pivots_reject_trees_not_of_finite_type(entries, message):
+    assert _fraction_verdict(entries) == message
+    assert _verdict(entries) == message
+
+
+def test_integer_pivots_accept_every_finite_type_to_rank_64():
+    lowest = {"A": 1, "B": 2, "C": 2, "D": 3}
+    names = [f + str(r) for f, lo in lowest.items() for r in range(lo, 65)]
+    for name in names + ["E6", "E7", "E8", "F4", "G2"]:
+        entries = cartan_matrix(AlgebraId.parse(name)).entries
+        assert _fraction_verdict(entries) is None, name
+        assert _verdict(entries) is None, name
+
+
 def test_disconnected_diagram_rejected_when_built():
     with pytest.raises(InvalidAlgebraError, match="not a connected tree"):
         CartanMatrix(((2, 0), (0, 2)))  # A1 x A1
@@ -186,6 +245,12 @@ def test_finite_type_exactly_when_connected_with_positive_principal_minors(entri
 def test_every_supported_algebra_is_of_finite_type(name):
     cartan = cartan_matrix(AlgebraId.parse(name))
     assert CartanMatrix(cartan.entries) == cartan
+
+
+@settings(max_examples=400)
+@given(finite_type_diagrams())
+def test_integer_pivots_reach_the_fraction_verdict_on_random_trees(entries):
+    assert _verdict(entries) == _fraction_verdict(entries)
 
 
 # ---------------------------------------------------------------------------

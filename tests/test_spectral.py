@@ -183,7 +183,8 @@ def test_symmetric_eigenvalues_agree_with_jacobi_on_band_matrices(name, seed):
 
 
 def _ordered_bandwidth(m):
-    order = spectral._reverse_cuthill_mckee(m)
+    adj = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(m)]
+    order = spectral._reverse_cuthill_mckee(adj)
     assert sorted(order) == list(range(len(m)))
     at = {node: k for k, node in enumerate(order)}
     return max(
@@ -291,6 +292,25 @@ def test_symmetric_eigenvalues_reject_asymmetric_and_non_square(bad):
         symmetric_eigenvalues(bad)
 
 
+@pytest.mark.parametrize("name", BAND_GRAPHS)
+def test_eigenvalues_from_bonds_do_not_depend_on_the_bond_order(name):
+    # the neighbour lists are sorted, so reverse Cuthill-McKee breaks ties alike
+    m = _band_matrix(name)
+    n = len(m)
+    bonds = [(i, j, m[i][j]) for i in range(n) for j in range(i + 1, n) if m[i][j]]
+    want = symmetric_eigenvalues(m)
+    for order in (bonds, bonds[::-1], sorted(bonds, key=lambda bond: bond[1])):
+        assert spectral.eigenvalues_from_bonds([m[i][i] for i in range(n)], order) == want
+
+
+@pytest.mark.parametrize(
+    "bonds", [[(1, 0, 1.0)], [(0, 2, 1.0)], [(-1, 1, 1.0)], [(0, 1, 1.0), (0, 1, 2.0)]], ids=str
+)
+def test_eigenvalues_from_bonds_reject_a_bad_bond_list(bonds):
+    with pytest.raises(ValueError):
+        spectral.eigenvalues_from_bonds([1.0, 2.0], bonds)
+
+
 def test_symmetric_eigenvalues_raise_past_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_QL_ITER", 0)
     assert symmetric_eigenvalues([[2.0, 0.0], [0.0, 1.0]]) == (2.0, 1.0)
@@ -313,14 +333,15 @@ def test_symmetric_eigenvalues_check_the_invariants(monkeypatch):
 
 
 def test_invariant_check_catches_a_wrong_eigenvalue():
-    a = [[2.0, 1.0], [1.0, 2.0]]
-    spectral._check_invariants(a, [3.0, 1.0])
+    # the matrix [[2, 1], [1, 2]], as its diagonal and its one off-diagonal entry
+    a = ([2.0, 2.0], [1.0])
+    spectral._check_invariants(*a, [3.0, 1.0])
     with pytest.raises(RuntimeError, match="trace"):
-        spectral._check_invariants(a, [3.0, 1.0 + 1e-10])
+        spectral._check_invariants(*a, [3.0, 1.0 + 1e-10])
     with pytest.raises(RuntimeError, match="Frobenius"):
-        spectral._check_invariants(a, [1.0 + 2.0**0.5, 3.0 - 2.0**0.5])  # right sum only
+        spectral._check_invariants(*a, [1.0 + 2.0**0.5, 3.0 - 2.0**0.5])  # right sum only
     with pytest.raises(RuntimeError):
-        spectral._check_invariants(a, [math.nan, 1.0])
+        spectral._check_invariants(*a, [math.nan, 1.0])
 
 
 # ---------------------------------------------------------------------------
