@@ -32,14 +32,7 @@ from .masses import (
     spectrum_method1,
     spectrum_method2,
 )
-from .radicals import (
-    NegativeRadicandError,
-    RadicalExpr,
-    eval_radical,
-    parse_radical,
-    radical_identity_suite,
-    sqrt,
-)
+from .radicals import NegativeRadicandError, eval_radical, radical_identity_suite
 from .report import CheckReport, CheckResult
 from .root_systems import (
     AlgebraId,
@@ -80,7 +73,6 @@ __all__ = [
     "NegativeRadicandError",
     "NormalizationInfo",
     "PerronVector",
-    "RadicalExpr",
     "RationalMatrix",
     "RationalPolynomial",
     "RootSystem",
@@ -98,7 +90,6 @@ __all__ = [
     "mass_char_poly",
     "mass_matrix",
     "mass_ratio_spread",
-    "parse_radical",
     "perron_components",
     "perron_vector",
     "poly_divide_exact",
@@ -108,6 +99,5 @@ __all__ = [
     "root_system",
     "spectrum_method1",
     "spectrum_method2",
-    "sqrt",
     "symmetric_eigenvalues",
 ]

@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 
 import click
 
+from . import __version__
 from . import verify as suites
 from .exact_poly import RationalPolynomial
 from .masses import (
@@ -104,7 +105,7 @@ def _status(passed: bool) -> str:
 
 
 @click.group()
-@click.version_option()
+@click.version_option(__version__)
 def main() -> None:
     """Mass spectra of two-dimensional affine Toda lattices for simple Lie algebras."""
 

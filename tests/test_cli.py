@@ -1,8 +1,12 @@
+import importlib.metadata
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import toda_spectrum
 from toda_spectrum.cli import main
 
 runner = CliRunner()
@@ -234,3 +238,24 @@ def test_tolerance_not_finite_and_nonnegative_is_a_usage_error(command, value):
     assert result.exit_code == 2
     assert "is not a finite nonnegative number" in result.output
     assert "PASS" not in result.output and "particle" not in result.output
+
+
+# ---------------------------------------------------------------------------
+# version
+# ---------------------------------------------------------------------------
+
+
+def test_version_needs_no_installed_metadata(monkeypatch):
+    # a source checkout run as `python -m toda_spectrum.cli` has no package metadata
+    def not_installed(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", not_installed)
+    result = run("--version")
+    assert result.exit_code == 0
+    assert "version 0.1.0" in result.output
+
+
+def test_package_version_matches_pyproject():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert toda_spectrum.__version__ == re.search(r'^version = "([^"]+)"', text, re.M).group(1)

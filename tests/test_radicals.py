@@ -1,8 +1,9 @@
 import math
+import re
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from toda_spectrum.exact_poly import refine_real_roots
@@ -12,30 +13,23 @@ from toda_spectrum.radicals import (
     MASS_CLOSED_FORMS,
     TRIG_CLOSED_FORMS,
     NegativeRadicandError,
-    RadicalExpr,
     eval_radical,
     match_eigenvalue_exponents,
-    parse_radical,
     radical_identity_suite,
-    sqrt,
 )
 from toda_spectrum.verify import E8_MASS_QUARTICS, SUITES, closed_form_mass_scale
 
 
 # ---------------------------------------------------------------------------
-# oracle: evaluate the same tree with mpmath at 50 digits
+# oracle: evaluate the same text with mpmath at 50 digits
 # ---------------------------------------------------------------------------
 
 
-def mp_eval(expr: RadicalExpr) -> mpmath.mpf:
-    total = mpmath.mpf(0)
-    for term in expr.terms:
-        coeff = mpmath.mpf(term.coeff.numerator) / term.coeff.denominator
-        if term.radicand is None:
-            total += coeff
-        else:
-            total += coeff * mpmath.sqrt(mp_eval(term.radicand))
-    return total
+def mp_eval(text: str) -> mpmath.mpf:
+    # the grammar's + - * / ( ) bind as Python's do; integers become mpf leaves
+    source = re.sub(r"\d+", lambda m: f"mpf({m.group()})", text)
+    with mpmath.workdps(50):
+        return eval(source, {"__builtins__": {}, "mpf": mpmath.mpf, "sqrt": mpmath.sqrt})
 
 
 ALL_CLOSED_FORMS = (
@@ -46,9 +40,32 @@ ALL_CLOSED_FORMS = (
 
 
 def test_evaluation_is_the_nearest_double_to_mpmath():
-    with mpmath.workdps(50):
-        for expr in ALL_CLOSED_FORMS:
-            assert eval_radical(expr) == float(mp_eval(expr)), str(expr)
+    assert len(ALL_CLOSED_FORMS) == 20
+    for form in ALL_CLOSED_FORMS:
+        assert eval_radical(form) == float(mp_eval(form)), form
+
+
+def _forms(sqrt_depth: int) -> st.SearchStrategy[str]:
+    """Forms with positive integer leaves whose square roots nest at most sqrt_depth deep."""
+    leaf = st.integers(1, 99).map(str)
+    if sqrt_depth > 0:
+        leaf = st.one_of(leaf, _forms(sqrt_depth - 1).map(lambda t: f"sqrt({t})"))
+    return st.recursive(
+        leaf,
+        lambda kids: st.one_of(
+            st.tuples(kids, kids).map(lambda ab: f"({ab[0]} + {ab[1]})"),
+            st.tuples(kids, kids).map(lambda ab: f"{ab[0]}*{ab[1]}"),
+            st.tuples(kids, st.integers(1, 30)).map(lambda ad: f"{ad[0]}/{ad[1]}"),
+        ),
+        max_leaves=6,
+    )
+
+
+@seed(20190612)
+@settings(max_examples=300, deadline=None)
+@given(_forms(3))
+def test_random_forms_are_the_nearest_double_to_mpmath(form):
+    assert eval_radical(form) == float(mp_eval(form))
 
 
 # ---------------------------------------------------------------------------
@@ -57,61 +74,61 @@ def test_evaluation_is_the_nearest_double_to_mpmath():
 
 
 def test_sqrt_four_is_two():
-    assert eval_radical(sqrt(4)) == 2.0
+    assert eval_radical("sqrt(4)") == 2.0
 
 
 def test_golden_section_expression():
-    expr = parse_radical("(1 + sqrt(5))/2")
-    assert abs(eval_radical(expr) - 1.6180339887) <= 1e-9
-    assert abs(eval_radical(expr) - (1 + math.sqrt(5)) / 2) <= 1e-15
+    form = "(1 + sqrt(5))/2"
+    assert abs(eval_radical(form) - 1.6180339887) <= 1e-9
+    assert abs(eval_radical(form) - (1 + math.sqrt(5)) / 2) <= 1e-15
 
 
 def test_first_eigenvalue_closed_form():
-    expr = parse_radical("1/2*sqrt(7 + sqrt(5) + sqrt(30 + 6*sqrt(5)))")
-    assert abs(eval_radical(expr) - 2 * math.cos(math.pi / 30)) <= 1e-14
-    assert f"{eval_radical(expr):.5f}" == "1.98904"
+    form = "1/2*sqrt(7 + sqrt(5) + sqrt(30 + 6*sqrt(5)))"
+    assert abs(eval_radical(form) - 2 * math.cos(math.pi / 30)) <= 1e-14
+    assert f"{eval_radical(form):.5f}" == "1.98904"
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["sqrt(1/10 + 2/10 - 3/10)", "sqrt(1/3 + 1/3 + 1/3 - 1)", "sqrt(19/15 - 1/15 - 6/5)"],
-)
+@pytest.mark.parametrize("text", ["sqrt(1/10 + 2/10 - 3/10)", "sqrt(19/15 - 1/15 - 6/5)"])
 def test_exactly_zero_rational_radicand_is_zero(text):
-    # each sum is zero in exact arithmetic, though not when added term by term in floats
-    assert eval_radical(parse_radical(text)) == 0.0
+    # each sum is zero in 40-digit decimals, though not when added term by term in floats
+    assert eval_radical(text) == 0.0
 
 
 @pytest.mark.parametrize(
-    "text",
+    "radicand",
     [
-        "sqrt(sqrt(8) - 2*sqrt(2))",
-        "sqrt(2*sqrt(2) - sqrt(8))",
-        "sqrt(sqrt(18) - 3*sqrt(2))",
-        "sqrt(3*sqrt(2) - sqrt(18))",
-        "sqrt(sqrt(27) - 3*sqrt(3))",
-        "sqrt(3*sqrt(3) - sqrt(27))",
-        "sqrt(sqrt(50) - 5*sqrt(2))",
-        "sqrt(5*sqrt(2) - sqrt(50))",
+        "sqrt(8) - 2*sqrt(2)",
+        "2*sqrt(2) - sqrt(8)",
+        "sqrt(12) - 2*sqrt(3)",
+        "2*sqrt(3) - sqrt(12)",
+        "sqrt(18) - 3*sqrt(2)",
+        "3*sqrt(2) - sqrt(18)",
+        "sqrt(27) - 3*sqrt(3)",
+        "3*sqrt(3) - sqrt(27)",
         "sqrt(50) - 5*sqrt(2)",
         "5*sqrt(2) - sqrt(50)",
-        "sqrt(1 + sqrt(8) - 1 - 2*sqrt(2))",
+        "1 + sqrt(8) - 1 - 2*sqrt(2)",
+        "1/3 + 1/3 + 1/3 - 1",
     ],
 )
-def test_commensurable_square_roots_cancel_exactly(text):
-    # sqrt(8) = 2*sqrt(2): both share one rounded square root, whatever the order
-    assert eval_radical(parse_radical(text)) == 0.0
+def test_cancelling_radicand_is_zero_to_working_precision(radicand):
+    # sqrt(8) and 2*sqrt(2) are each rounded to 40 digits, so they cancel only to there;
+    # the square root of what is left raises exactly when it came out negative
+    residue = eval_radical(radicand)
+    assert abs(residue) <= 1e-38
+    if residue < 0:
+        with pytest.raises(NegativeRadicandError) as exc:
+            eval_radical(f"sqrt({radicand})")
+        assert f"sqrt({radicand})" in str(exc.value)
+    else:
+        assert eval_radical(f"sqrt({radicand})") == pytest.approx(math.sqrt(residue), rel=1e-15)
 
 
 def test_negative_radicand_names_subtree():
-    expr = sqrt(RadicalExpr.rational(3) - RadicalExpr.rational(7))
     with pytest.raises(NegativeRadicandError) as exc:
-        eval_radical(expr)
+        eval_radical("sqrt(3 - 7)")
     assert "3 - 7" in str(exc.value)
-
-
-def test_paper_forms_have_bounded_depth():
-    for expr in ALL_CLOSED_FORMS:
-        assert expr.depth <= 3
 
 
 @settings(max_examples=80, deadline=None)
@@ -122,15 +139,15 @@ def test_paper_forms_have_bounded_depth():
 )
 def test_monotone_in_positive_leaves(base, bump, coeff):
     # raising any positive leaf raises the value
-    lo = eval_radical(sqrt(RadicalExpr.rational(base)))
-    hi = eval_radical(sqrt(RadicalExpr.rational(base + bump)))
+    lo = eval_radical(f"sqrt({base})")
+    hi = eval_radical(f"sqrt({base + bump})")
     assert hi > lo
-    inner = RadicalExpr.rational(2) + sqrt(base + bump)
-    outer_lo = eval_radical(sqrt(RadicalExpr.rational(2) + sqrt(base)))
-    outer_hi = eval_radical(sqrt(inner))
+    inner = f"2 + sqrt({base + bump})"
+    outer_lo = eval_radical(f"sqrt(2 + sqrt({base}))")
+    outer_hi = eval_radical(f"sqrt({inner})")
     assert outer_hi > outer_lo
-    scaled_lo = eval_radical(sqrt(inner) * RadicalExpr.rational(coeff))
-    scaled_hi = eval_radical(sqrt(inner) * RadicalExpr.rational(coeff + bump))
+    scaled_lo = eval_radical(f"sqrt({inner})*{coeff}")
+    scaled_hi = eval_radical(f"sqrt({inner})*{coeff + bump}")
     assert scaled_hi > scaled_lo
 
 
@@ -139,21 +156,15 @@ def test_monotone_in_positive_leaves(base, bump, coeff):
 # ---------------------------------------------------------------------------
 
 
-def test_parse_round_trip_through_str():
-    for expr in ALL_CLOSED_FORMS:
-        again = parse_radical(str(expr))
-        assert eval_radical(again) == eval_radical(expr)
-
-
 def test_parse_products_of_square_roots_merge():
-    a = parse_radical("sqrt(6)*sqrt(25 + 11*sqrt(5))")
-    b = parse_radical("sqrt(150 + 66*sqrt(5))")
-    assert abs(eval_radical(a) - eval_radical(b)) <= 1e-15 * eval_radical(b)
+    a = eval_radical("sqrt(6)*sqrt(25 + 11*sqrt(5))")
+    b = eval_radical("sqrt(150 + 66*sqrt(5))")
+    assert abs(a - b) <= 1e-15 * b
 
 
 def test_parse_unary_minus_and_rationals():
-    assert eval_radical(parse_radical("-3/2 + sqrt(9)/2")) == 0.0
-    assert eval_radical(parse_radical("2*3")) == 6.0
+    assert eval_radical("-3/2 + sqrt(9)/2") == 0.0
+    assert eval_radical("2*3") == 6.0
 
 
 @pytest.mark.parametrize(
@@ -161,13 +172,13 @@ def test_parse_unary_minus_and_rationals():
     [("sqrt(5) ", "sqrt(5)"), ("1\n", "1"), ("  (1 + sqrt(5))/2 \n", "(1 + sqrt(5))/2")],
 )
 def test_parse_ignores_leading_and_trailing_whitespace(text, plain):
-    assert str(parse_radical(text)) == str(parse_radical(plain))
+    assert eval_radical(text) == eval_radical(plain)
 
 
 @pytest.mark.parametrize("bad", ["sqrt(", "1 +", "(2", "sqrt 5", "2.5", "x + 1", "1/sqrt(2)"])
 def test_parse_rejects_bad_syntax(bad):
     with pytest.raises(ValueError):
-        parse_radical(bad)
+        eval_radical(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +203,14 @@ def test_eigenvalue_forms_pair_with_exponents_by_value():
 
 
 def test_trig_identities_to_1e12():
-    for name, kind, denom, expr, _note in TRIG_CLOSED_FORMS:
+    for name, kind, denom, form, _note in TRIG_CLOSED_FORMS:
         func = math.cos if kind == "cos" else math.sin
         want = 2.0 * func(math.pi / denom)
-        assert abs(eval_radical(expr) - want) <= 1e-12 * abs(want), name
+        assert abs(eval_radical(form) - want) <= 1e-12 * abs(want), name
 
 
 def test_two_sin_pi_over_ten():
-    expr = parse_radical("sqrt((3 - sqrt(5))/2)")
-    assert f"{eval_radical(expr):.5f}" == "0.61803"
+    assert f"{eval_radical('sqrt((3 - sqrt(5))/2)'):.5f}" == "0.61803"
     assert f"{2 * math.sin(math.pi / 10):.5f}" == "0.61803"
 
 
