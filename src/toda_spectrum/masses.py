@@ -82,10 +82,11 @@ class Spectrum:
     def __post_init__(self) -> None:
         if len(self.masses) != self.algebra.rank or len(self.mass_squares) != self.algebra.rank:
             raise ValueError("spectrum length must equal the rank")
+        # written as "not ..." so that a NaN or an infinite mass or square fails
         for m, sq in zip(self.masses, self.mass_squares):
-            if m <= 0.0:
-                raise ValueError("masses must be strictly positive")
-            if abs(sq - m * m) > 1e-12 * sq:
+            if not 0.0 < m < math.inf:
+                raise ValueError("masses must be finite and strictly positive")
+            if not abs(sq - m * m) <= 1e-12 * sq < math.inf:
                 raise ValueError("mass_squares must be the squares of masses")
 
     def rescaled(self, kind: str) -> "Spectrum":
@@ -298,8 +299,7 @@ def perron_components(algebra: AlgebraId | str) -> tuple[float, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _perron_components(aid: AlgebraId) -> tuple[float, ...]:
-    a = [[float(v) for v in row] for row in dynkin_adjacency(root_system(aid).cartan)]
-    pv = perron_vector(a)
+    pv = perron_vector(dynkin_adjacency(root_system(aid).cartan))
     scale = 2.0 * math.sin(math.acos(pv.eigenvalue / 2.0)) / pv.components[0]
     return tuple(x * scale for x in pv.components)
 

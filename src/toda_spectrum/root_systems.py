@@ -43,7 +43,7 @@ _RANK_RANGES = {
 
 RANK_RULES_TEXT = "A>=1, B>=2, C>=2, D>=3, E in {6,7,8}, F=4, G=2"
 
-_NAME_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
+_NAME_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$", re.ASCII)
 
 
 @dataclass(frozen=True, order=True)
@@ -57,6 +57,10 @@ class AlgebraId:
         if self.family not in _RANK_RANGES:
             raise InvalidAlgebraError(
                 f"unknown family {self.family!r}; valid families and ranks: {RANK_RULES_TEXT}"
+            )
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
+            raise InvalidAlgebraError(
+                f"rank {self.rank!r} is not an integer; valid families and ranks: {RANK_RULES_TEXT}"
             )
         lo, hi = _RANK_RANGES[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):

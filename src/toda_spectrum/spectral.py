@@ -12,8 +12,10 @@ solver; dense input is b = n - 1, at O(n^3). Each solve is checked against
 sum(lambda) = tr M and sum(lambda^2) = ||M||_F^2. No algebra request runs the
 cyclic Jacobi solver ``jacobi_eigen`` (O(n^3) per sweep, with eigenvectors):
 it is the tests' eigenvector reference, and the benchmark's tracer wraps it
-by name. A power-iteration step visits only the nonzero entries of each
-column, O(n + nonzeros) in all.
+by name. ``perron_vector`` takes finite, nonnegative, irreducible input,
+irreducibility decided exactly from the nonzero pattern; its power-iteration
+step visits only the nonzero entries of each column, O(n + nonzeros), and
+non-convergence raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 Matrix = Sequence[Sequence[float]]
 
@@ -57,17 +59,19 @@ class PerronVector:
 
 
 def _symmetric_copy(m: Matrix) -> list[list[float]]:
-    """A float copy of ``m``, symmetrised; raises unless square and symmetric to 1e-12."""
+    """A float copy of ``m``, symmetrised; raises unless square, finite and symmetric to 1e-12."""
     n = len(m)
     a = [[float(v) for v in row] for row in m]
     for row in a:
         if len(row) != n:
             raise ValueError("matrix must be square")
+        if not all(map(math.isfinite, row)):
+            raise ValueError("matrix entries must be finite")
     skew = max(
         (abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i + 1, n)),
         default=0.0,
     )
-    if skew > SYMMETRY_TOL:
+    if not skew <= SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3e})")
     for i in range(n):
         for j in range(i + 1, n):
@@ -78,8 +82,8 @@ def _symmetric_copy(m: Matrix) -> list[list[float]]:
 def symmetric_eigenvalues(m: Matrix) -> tuple[float, ...]:
     """Eigenvalues of a dense symmetric matrix in descending order, without eigenvectors.
 
-    Raises ``ValueError`` unless ``m`` is square and symmetric, then passes its
-    diagonal and its nonzero entries above the diagonal to
+    Raises ``ValueError`` unless ``m`` is square, finite and symmetric, then
+    passes its diagonal and its nonzero entries above the diagonal to
     :func:`eigenvalues_from_bonds`, which raises ``RuntimeError`` as described
     there. The copy and the scan visit all n^2 entries, and the band that
     dense input leaves is b = n - 1, so the reduction costs O(n^3); no algebra
@@ -102,16 +106,19 @@ def eigenvalues_from_bonds(
     form, and implicit QL with Wilkinson shifts (EISPACK tql1) diagonalises
     it. Outside the band reduction and QL, the work is O(n + bonds).
 
-    Raises ``ValueError`` for a bond that is not a pair i < j of the nodes
-    or that repeats a pair, ``RuntimeError`` if QL needs more than 30
-    iterations for one eigenvalue or if the eigenvalues miss sum = trace or
-    sum of squares = squared Frobenius norm by 1e-12 relative.
+    Raises ``ValueError`` for a value that is not finite, or a bond that is
+    not a pair i < j of the nodes or that repeats a pair; ``RuntimeError`` if
+    QL needs more than 30 iterations for one eigenvalue or if the eigenvalues
+    miss sum = trace or sum of squares = squared Frobenius norm by 1e-12
+    relative.
     """
     n = len(diagonal)
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in bonds:
+    for i, j, x in bonds:
         if not 0 <= i < j < n:
             raise ValueError(f"bond ({i}, {j}) is not a pair i < j of the {n} nodes")
+        if not abs(x) < math.inf:
+            raise ValueError(f"bond ({i}, {j}) has the non-finite value {x}")
         adj[i].append(j)
         adj[j].append(i)
     if len({(i, j) for i, j, _ in bonds}) != len(bonds):
@@ -129,6 +136,8 @@ def eigenvalues_from_bonds(
     a = [[0.0] * (k + 1) for k in range(n)]
     diag = [math.ldexp(x, -shift) for x in diagonal]
     for node, x in enumerate(diag):
+        if not abs(x) < math.inf:  # scaling keeps a value finite or not
+            raise ValueError(f"diagonal entry {node} is not finite")
         a[at[node]][at[node]] = x
     off, b = [], 0
     for i, j, x in bonds:
@@ -152,25 +161,26 @@ def _reverse_cuthill_mckee(adj: list[list[int]]) -> list[int]:
     order is then reversed (Cuthill & McKee 1969; George & Liu 1981).
     """
     degree = [len(x) for x in adj].__getitem__
-
-    def bfs(root: int) -> list[list[int]]:
-        levels, seen = [[root]], {root}
-        while nxt := [w for v in levels[-1] for w in sorted(adj[v], key=degree) if w not in seen]:
-            levels.append(list(dict.fromkeys(nxt)))  # the first parent places a shared child
-            seen.update(nxt)
-        return levels
-
     order: list[int] = []
     numbered: set[int] = set()
     for start in sorted(range(len(adj)), key=degree):
         if start not in numbered:
-            levels = bfs(start)
-            while len(wider := bfs(min(levels[-1], key=degree))) > len(levels):
+            levels = _levels(adj, start, degree)
+            while len(wider := _levels(adj, min(levels[-1], key=degree), degree)) > len(levels):
                 levels = wider
             component = [v for level in levels for v in level]
             order += component
             numbered.update(component)
     return order[::-1]
+
+
+def _levels(adj: list[list[int]], root: int, key: Callable | None = None) -> list[list[int]]:
+    """Breadth-first levels from ``root``, each node once; ``adj[v]`` taken in ``key`` order."""
+    levels, seen = [[root]], {root}
+    while nxt := [w for v in levels[-1] for w in sorted(adj[v], key=key) if w not in seen]:
+        levels.append(list(dict.fromkeys(nxt)))  # the first parent places a shared child
+        seen.update(nxt)
+    return levels
 
 
 def _band_to_tridiagonal(a: list[list[float]], b: int) -> tuple[list[float], list[float]]:
@@ -328,31 +338,40 @@ def jacobi_eigen(m: Matrix) -> EigenDecomposition:
 def perron_vector(a: Matrix) -> PerronVector:
     """Left Perron-Frobenius vector of a nonnegative irreducible matrix, max component 1.
 
-    Power iteration runs on (a + 2I) acting on row vectors, starting from all
-    ones; the +2 shift keeps bipartite sign structure (top eigenvalue pairs
-    +/-) from stalling the iteration. The reported eigenvalue refers to ``a``
-    itself.
+    ``a`` must be square with finite nonnegative entries, and irreducible,
+    which is decided exactly from its nonzero pattern before any step: every
+    node must be reached from node 0 along the rows and along the columns
+    (strong connectivity; Berman & Plemmons, *Nonnegative Matrices in the
+    Mathematical Sciences*), so any 1 x 1 matrix passes. Otherwise
+    ``ValueError``. Power iteration runs on (a + 2I) acting on row vectors,
+    starting from all ones; the +2 shift keeps bipartite sign structure (top
+    eigenvalue pairs +/-) from stalling the iteration; ``RuntimeError`` if it
+    has not converged after ``_MAX_POWER_ITER`` steps. The reported
+    eigenvalue refers to ``a`` itself.
 
     Each step costs O(n + nonzeros): the nonzero entries of each column are
     listed once and summed in row order, which gives the same iterates, bit
     for bit, as summing over every row, because adding a zero product is exact.
     """
     n = len(a)
-    mat = [[float(x) for x in row] for row in a]
-    for row in mat:
+    rows: list[list[int]] = [[] for _ in range(n)]
+    cols: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, row in enumerate(a):
         if len(row) != n:
             raise ValueError("matrix must be square")
-        for x in row:
-            if x < 0.0:
-                raise ValueError("matrix must be nonnegative")
-
-    cols = [[(i, mat[i][j]) for i in range(n) if mat[i][j] != 0.0] for j in range(n)]
+        for j, x in enumerate(map(float, row)):
+            if not 0.0 <= x < math.inf:  # written so that a NaN fails
+                raise ValueError("matrix entries must be finite and nonnegative")
+            if x:
+                rows[i].append(j)
+                cols[j].append((i, x))
+    reverse = [[i for i, _ in col] for col in cols]
+    if not n or any(sum(map(len, _levels(adj, 0))) < n for adj in (rows, reverse)):
+        raise ValueError("matrix is not irreducible: its nonzero pattern is not strongly connected")
 
     def step(vec: list[float]) -> tuple[list[float], float]:
         w = [sum([vec[i] * x for i, x in col]) + 2.0 * vec[j] for j, col in enumerate(cols)]
         top = max(w)
-        if top <= 0.0:
-            raise ValueError("power iteration collapsed; matrix is not irreducible")
         nxt = [x / top for x in w]
         return nxt, max(map(abs, map(operator.sub, nxt, vec)))
 
@@ -362,7 +381,7 @@ def perron_vector(a: Matrix) -> PerronVector:
         if delta < POWER_DELTA_TOL:
             break
     else:
-        raise ValueError("power iteration did not converge; matrix may be reducible")
+        raise RuntimeError(f"power iteration did not converge in {_MAX_POWER_ITER} steps")
 
     # polish: once converged to the contractual delta, keep stepping while the
     # delta still shrinks, pushing the iterate to the rounding floor
@@ -372,14 +391,8 @@ def perron_vector(a: Matrix) -> PerronVector:
             break
         u, delta = nxt, nxt_delta
 
-    # u is max-normalized here; a component at rounding scale means the
-    # support graph is reducible and the true Perron vector is not positive
-    if min(u) <= 1e-12:
-        raise ValueError("Perron vector has a vanishing component; matrix is reducible")
-
     k = max(range(n), key=lambda i: u[i])
-    image = [sum(u[i] * mat[i][j] for i in range(n)) for j in range(n)]
-    eigenvalue = image[k] / u[k]
+    eigenvalue = sum(u[i] * x for i, x in cols[k]) / u[k]
 
     return PerronVector(tuple(u), eigenvalue)
 

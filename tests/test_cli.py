@@ -90,6 +90,12 @@ def test_spectrum_unknown_algebra_exits_2():
     assert "E in {6,7,8}" in result.output
 
 
+def test_spectrum_rank_in_digits_that_are_not_ascii_exits_2():
+    result = runner.invoke(main, ["spectrum", "A\u0663"])  # ARABIC-INDIC DIGIT THREE
+    assert result.exit_code == 2
+    assert "cannot parse algebra name" in result.output
+
+
 def test_spectrum_deterministic_output():
     first = run("spectrum", "E8", "--method", "both", "--format", "json").output
     second = run("spectrum", "E8", "--method", "both", "--format", "json").output

@@ -10,6 +10,8 @@ from toda_spectrum.masses import (
     NULL_EIGENVALUE_TOL,
     ConsistencyError,
     MassMethod,
+    NormalizationInfo,
+    Spectrum,
     adjacency_eigen,
     adjacency_symmetrized,
     consistency_check,
@@ -303,6 +305,26 @@ def test_a2_masses_equal():
 def test_methods_tagged():
     assert spectrum_method1("A2").method is MassMethod.PERRON_FROBENIUS
     assert spectrum_method2("A2").method is MassMethod.MASS_MATRIX
+
+
+@pytest.mark.parametrize(
+    "mass, square",
+    [
+        (math.nan, math.nan),
+        (math.inf, math.inf),
+        (-math.inf, math.inf),
+        (0.0, 0.0),
+        (1.0, math.nan),
+        (1.0, math.inf),
+        (1.0, 2.0),
+    ],
+    ids=str,
+)
+def test_spectrum_rejects_a_mass_that_is_not_finite_and_positive(mass, square):
+    info = NormalizationInfo("absolute", "squared masses are mass-matrix eigenvalues", 1.0)
+    assert Spectrum(AlgebraId("A", 1), (2.0,), (4.0,), MassMethod.MASS_MATRIX, info)
+    with pytest.raises(ValueError):
+        Spectrum(AlgebraId("A", 1), (mass,), (square,), MassMethod.MASS_MATRIX, info)
 
 
 def test_e8_heaviest_mass_square():

@@ -39,10 +39,21 @@ def test_parse_names():
     assert str(AlgebraId.parse("g2")) == "G2"
 
 
-@pytest.mark.parametrize("bad", ["B1", "C1", "D2", "E5", "E9", "F3", "G3", "H4", "A0", "foo", "8E"])
+@pytest.mark.parametrize(
+    "bad",
+    # the last four have a rank in digits that are not ASCII
+    ["B1", "C1", "D2", "E5", "E9", "F3", "G3", "H4", "A0", "foo", "8E"]
+    + ["A\u0663", "E\uff18", "A\u00a03", "B\u0968"],
+)
 def test_parse_rejects_invalid(bad):
     with pytest.raises(InvalidAlgebraError):
         AlgebraId.parse(bad)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2.5), ("E", 7.0), ("A", True), ("A", "3")], ids=str)
+def test_algebra_id_rejects_a_rank_that_is_not_an_int(family, rank):
+    with pytest.raises(InvalidAlgebraError, match="is not an integer"):
+        AlgebraId(family, rank)
 
 
 def test_cartan_matrix_g2():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -285,7 +286,16 @@ def test_symmetric_eigenvalues_small_cases():
 
 
 @pytest.mark.parametrize(
-    "bad", [[[0.0, 1.0], [0.5, 0.0]], [[1.0, 2.0]], [[1.0, 2.0], [2.0]]], ids=str
+    "bad",
+    [
+        [[0.0, 1.0], [0.5, 0.0]],
+        [[1.0, 2.0]],
+        [[1.0, 2.0], [2.0]],
+        [[0.0, math.inf], [math.inf, 0.0]],
+        [[1.0, 2.0], [math.nan, 1.0]],
+        [[math.nan]],
+    ],
+    ids=str,
 )
 def test_symmetric_eigenvalues_reject_asymmetric_and_non_square(bad):
     with pytest.raises(ValueError):
@@ -304,11 +314,27 @@ def test_eigenvalues_from_bonds_do_not_depend_on_the_bond_order(name):
 
 
 @pytest.mark.parametrize(
-    "bonds", [[(1, 0, 1.0)], [(0, 2, 1.0)], [(-1, 1, 1.0)], [(0, 1, 1.0), (0, 1, 2.0)]], ids=str
+    "bonds",
+    [
+        [(1, 0, 1.0)],
+        [(0, 2, 1.0)],
+        [(-1, 1, 1.0)],
+        [(0, 1, 1.0), (0, 1, 2.0)],
+        [(0, 1, math.inf)],
+        [(0, 1, -math.inf)],
+        [(0, 1, math.nan)],
+    ],
+    ids=str,
 )
 def test_eigenvalues_from_bonds_reject_a_bad_bond_list(bonds):
     with pytest.raises(ValueError):
         spectral.eigenvalues_from_bonds([1.0, 2.0], bonds)
+
+
+@pytest.mark.parametrize("diagonal", [[math.nan, 2.0], [1.0, math.inf], [-math.inf, 0.0]], ids=str)
+def test_eigenvalues_from_bonds_reject_a_diagonal_that_is_not_finite(diagonal):
+    with pytest.raises(ValueError, match="not finite"):
+        spectral.eigenvalues_from_bonds(diagonal, [(0, 1, 1.0)])
 
 
 def test_symmetric_eigenvalues_raise_past_the_iteration_cap(monkeypatch):
@@ -489,6 +515,73 @@ def sparse_irreducible_matrices(draw, max_n=7):
 def test_sparse_perron_is_bit_identical_to_dense_on_random_matrices(a):
     assert any(x == 0.0 for row in a for x in row)
     assert perron_vector(a) == dense_perron(a)
+
+
+@st.composite
+def sparse_nonnegative_matrices(draw, max_n=6):
+    """Entries 0 or in [1/4, 4]; half carry a directed cycle through every node."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    weights = st.floats(min_value=0.25, max_value=4.0)
+    node = st.integers(min_value=0, max_value=n - 1)
+    m = [[0.0] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][(i + 1) % n] = draw(weights)
+    for i, j, x in draw(st.lists(st.tuples(node, node, weights), max_size=2 * n)):
+        m[i][j] = x
+    return m
+
+
+def strongly_connected(a):
+    """Every node reaches every node (itself by the empty path), by a boolean Warshall closure."""
+    n = len(a)
+    reach = [[i == j or a[i][j] != 0.0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [x or y for x, y in zip(reach[i], reach[k])]
+    return all(map(all, reach))
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_nonnegative_matrices())
+def test_perron_rejects_exactly_the_matrices_that_are_not_irreducible(a):
+    if not strongly_connected(a):
+        with pytest.raises(ValueError, match="not irreducible"):
+            perron_vector(a)
+        return
+    pv = perron_vector(a)
+    n = len(a)
+    assert min(pv.components) > 0.0 and max(pv.components) == 1.0
+    residual = max(
+        abs(sum(pv.components[i] * a[i][j] for i in range(n)) - pv.eigenvalue * pv.components[j])
+        for j in range(n)
+    )
+    assert residual <= 1e-10 * pv.eigenvalue
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[2.0, 1.0], [0.0, 1.0]],
+        [[1, 1], [0, 1]],
+        [[0.0, math.nan], [1.0, 0.0]],
+        [[0.0, 1.0], [math.inf, 0.0]],
+    ],
+    ids=str,
+)
+def test_perron_rejects_a_bad_matrix_without_iterating(a):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        perron_vector(a)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_perron_non_convergence_is_a_runtime_error(monkeypatch):
+    # irreducible, but a + 2I has eigenvalues 2 +/- 1e-15, too close for power iteration
+    monkeypatch.setattr(spectral, "_MAX_POWER_ITER", 1000)
+    with pytest.raises(RuntimeError, match="did not converge in 1000 steps"):
+        perron_vector([[0.0, 1e-30], [1.0, 0.0]])
 
 
 def test_perron_a31_closed_form():
