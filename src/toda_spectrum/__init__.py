@@ -19,12 +19,10 @@ from .masses import (
     GOLDEN_RATIO,
     AdjacencyEigenvalues,
     ConsistencyError,
-    MassMatrixExact,
     MassMethod,
     NormalizationInfo,
     Spectrum,
     adjacency_eigen,
-    consistency_check,
     mass_char_poly,
     mass_matrix,
     mass_ratio_spread,
@@ -41,7 +39,6 @@ from .root_systems import (
     RootSystem,
     cartan_matrix,
     dynkin_adjacency,
-    embed_coefficients,
     embed_roots,
     generate_roots,
     root_system,
@@ -68,7 +65,6 @@ __all__ = [
     "EigenDecomposition",
     "GOLDEN_RATIO",
     "InvalidAlgebraError",
-    "MassMatrixExact",
     "MassMethod",
     "NegativeRadicandError",
     "NormalizationInfo",
@@ -80,9 +76,7 @@ __all__ = [
     "adjacency_eigen",
     "cartan_matrix",
     "char_poly_exact",
-    "consistency_check",
     "dynkin_adjacency",
-    "embed_coefficients",
     "embed_roots",
     "eval_radical",
     "generate_roots",

@@ -300,12 +300,12 @@ def _roots(aid: AlgebraId, rs: RootSystem) -> Output:
         "algebra": str(aid),
         "count": len(roots),
         "positive_roots": roots,
-        "highest_root": list(rs.highest_root),
+        "highest_root": list(rs.marks),
         "marks": list(rs.marks),
     }
     lines = [f"{len(roots)} positive roots of {aid} (simple-root coefficients):"]
     lines += ["  (" + ", ".join(str(v) for v in r) + ")" for r in roots]
-    lines.append("highest root: (" + ", ".join(str(v) for v in rs.highest_root) + ")")
+    lines.append("highest root: (" + ", ".join(str(v) for v in rs.marks) + ")")
     return Output(data, None, roots, lines)
 
 

@@ -19,8 +19,9 @@ coefficient outer-product sum times the Gram matrix - so the characteristic
 polynomial can be computed with no floating point at all.
 
 For simply-laced algebras the two routes agree node by node; for B, C, F and G
-both spectra are reported without asserting agreement. The E8 identity checks
-live in :mod:`toda_spectrum.verify`.
+both spectra are reported without asserting agreement. This module measures
+the agreement (``mass_ratio_spread``) and judges nothing: the simply-laced
+verdict and the E8 identity checks live in :mod:`toda_spectrum.verify`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import classical
 from .exact_poly import RationalMatrix, RationalPolynomial, char_poly_exact
 from .root_systems import (
     AlgebraId,
@@ -53,7 +53,7 @@ class MassMethod(enum.Enum):
 
 
 class ConsistencyError(RuntimeError):
-    """The two mass routes disagreed where they are required to agree."""
+    """The mass matrix broke a property its spectrum must have (see ``_mass_squares``)."""
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,8 @@ class Spectrum:
         )
 
 
-@dataclass(frozen=True)
-class MassMatrixExact:
-    """Exact rational matrix sharing its spectrum with the (real symmetric) mass matrix."""
-
-    kg: RationalMatrix
-    description: str
-
-
-def mass_matrix(algebra: AlgebraId | str) -> MassMatrixExact:
-    """Exact spectrum carrier for the mass matrix.
+def mass_matrix(algebra: AlgebraId | str) -> RationalMatrix:
+    """Exact rational matrix K G sharing its spectrum with the (real symmetric) mass matrix.
 
     With c_j the coefficient vectors of the affine root family and n_j the
     marks (n_0 = 1), the mass matrix equals L^T K L for the Cholesky factor L
@@ -142,14 +134,7 @@ def mass_matrix(algebra: AlgebraId | str) -> MassMatrixExact:
         [Fraction(marks[i] * marks[j] + (marks[i] if i == j else 0)) for j in range(n)]
         for i in range(n)
     ]
-    kg = RationalMatrix.from_rows(k_entries) @ RationalMatrix(rs.gram)
-    return MassMatrixExact(
-        kg=kg,
-        description=(
-            "mark-weighted coefficient outer-product sum times the Gram matrix; "
-            "similar to the symmetric mass matrix, so the spectrum is identical"
-        ),
-    )
+    return RationalMatrix.from_rows(k_entries) @ RationalMatrix(rs.gram)
 
 
 def mass_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:
@@ -162,7 +147,7 @@ def mass_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def _mass_char_poly(aid: AlgebraId) -> RationalPolynomial:
-    return char_poly_exact(mass_matrix(aid).kg)
+    return char_poly_exact(mass_matrix(aid))
 
 
 def adjacency_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:
@@ -330,14 +315,14 @@ def _mass_squares(aid: AlgebraId) -> tuple[float, ...]:
     return tuple(reversed(squares))
 
 
-def _mass_scale(rs: RootSystem, u: tuple[float, ...]) -> float:
+def _mass_scale(aid: AlgebraId, u: tuple[float, ...]) -> float:
     """Scale factor relating squared masses to squared Perron components.
 
     Fixed by matching the product of all squared masses to the mass-matrix
     determinant, read off the exact characteristic polynomial's constant term.
     """
-    n = rs.rank
-    poly = mass_char_poly(_identify(rs))
+    n = aid.rank
+    poly = mass_char_poly(aid)
     constant = poly.coefficients[0] if poly.coefficients else Fraction(0)
     determinant = constant if n % 2 == 0 else -constant
     if determinant <= 0:
@@ -348,21 +333,14 @@ def _mass_scale(rs: RootSystem, u: tuple[float, ...]) -> float:
     return (float(determinant) / (prod_u * prod_u)) ** (1.0 / n)
 
 
-def _identify(rs: RootSystem) -> AlgebraId:
-    if rs.algebra is None:
-        raise ValueError("root system carries no algebra id")
-    return rs.algebra
-
-
 def spectrum_method1(algebra: AlgebraId | str) -> Spectrum:
     """Masses from the Perron-Frobenius route, on the absolute scale.
 
     E8 masses are node-indexed; other algebras come out ascending.
     """
     aid = AlgebraId.of(algebra)
-    rs = root_system(aid)
     u = perron_components(aid)
-    scale = _mass_scale(rs, u)
+    scale = _mass_scale(aid, u)
     root_scale = math.sqrt(scale)
     masses = [root_scale * x for x in u]
     if aid != E8:
@@ -423,21 +401,3 @@ def mass_ratio_spread(algebra: AlgebraId | str) -> float:
     squares = _mass_squares(aid)
     ratios = [m / (x * x) for m, x in zip(squares, u)]
     return max(ratios) / min(ratios) - 1.0
-
-
-CONSISTENCY_TOL = 1e-9
-
-
-def consistency_check(algebra: AlgebraId | str) -> float:
-    """Cross-method spread; raises for simply-laced algebras if it exceeds 1e-9.
-
-    For B, C, F and G the spread is reported without judgement: the node-wise
-    proportionality of masses and Perron components is a simply-laced fact.
-    """
-    aid = AlgebraId.of(algebra)
-    spread = mass_ratio_spread(aid)
-    if classical.simply_laced(aid.family) and spread > CONSISTENCY_TOL:
-        raise ConsistencyError(
-            f"mass routes disagree for simply-laced {aid}: spread {spread:.3e} > {CONSISTENCY_TOL}"
-        )
-    return spread

@@ -43,9 +43,6 @@ class CheckReport:
             )
         )
 
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
     def __iter__(self):
         return iter(self.checks)
 

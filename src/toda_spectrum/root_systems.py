@@ -5,10 +5,11 @@ vectors over the simple roots, inner products as rationals. Floating point
 enters only in :func:`embed_roots`, which realises roots as Euclidean vectors
 through a Cholesky factorisation of the Gram matrix.
 
-The spectra need only the Gram form and the marks of the highest root, so
-:func:`generate_roots` finds the highest root by one raising walk from a long
-simple root and builds no positive root set; the full set is closed only when
-:attr:`RootSystem.positive_roots` is first read.
+The spectra need only the Gram form and the marks, the coefficients of the
+highest root, so :func:`generate_roots` finds the highest root by one raising
+walk from a long simple root and builds no positive root set; the full set is
+closed only when :attr:`RootSystem.positive_roots` is first read. A
+:class:`RootSystem` is built from its Cartan matrix alone and carries no name.
 
 Node numbering follows one fixed convention per family: chains are numbered
 left to right, and a branch node, where present, is attached last (node
@@ -210,20 +211,18 @@ def dynkin_adjacency(cartan: CartanMatrix) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A root system given by its Cartan matrix, with highest root, marks and Coxeter number.
+    """A root system given by its Cartan matrix, with marks and Coxeter number.
 
     ``symmetrizers[i]`` is half the squared length of simple root i;
     ``gram[i][j]`` is the inner product of simple roots i, j. ``marks`` are the
-    coefficients of the highest root over the simple roots, and the Coxeter
-    number is one plus their sum. The positive roots are built only when
-    :attr:`positive_roots` is first read.
+    coefficients of the highest root over the simple roots, so they are the
+    highest root itself, and the Coxeter number is one plus their sum. The
+    positive roots are built only when :attr:`positive_roots` is first read.
     """
 
-    algebra: AlgebraId | None
     cartan: CartanMatrix
     symmetrizers: tuple[Fraction, ...]
     gram: tuple[tuple[Fraction, ...], ...]
-    highest_root: tuple[int, ...]
     marks: tuple[int, ...]
     coxeter_number: int
 
@@ -318,8 +317,8 @@ def _raise_to_dominant(
     return tuple(root)
 
 
-def generate_roots(cartan: CartanMatrix, algebra: AlgebraId | None = None) -> RootSystem:
-    """The root system of ``cartan``: symmetrizers, Gram form, highest root, marks, h.
+def generate_roots(cartan: CartanMatrix) -> RootSystem:
+    """The root system of ``cartan``: symmetrizers, Gram form, marks and h.
 
     The highest root comes from one raising walk (:func:`_raise_to_dominant`)
     started at a long simple root; it takes at most h - 2 steps, and no
@@ -337,15 +336,13 @@ def generate_roots(cartan: CartanMatrix, algebra: AlgebraId | None = None) -> Ro
         for j, v in row:
             g[j] = v * d[j]
         gram.append(tuple(g))
-    highest = _raise_to_dominant(bonds, d.index(1))
+    marks = _raise_to_dominant(bonds, d.index(1))
     return RootSystem(
-        algebra=algebra,
         cartan=cartan,
         symmetrizers=d,
         gram=tuple(gram),
-        highest_root=highest,
-        marks=highest,
-        coxeter_number=1 + sum(highest),
+        marks=marks,
+        coxeter_number=1 + sum(marks),
     )
 
 
@@ -359,7 +356,7 @@ def root_system(algebra: AlgebraId | str) -> RootSystem:
 
 @functools.lru_cache(maxsize=None)
 def _root_system(aid: AlgebraId) -> RootSystem:
-    return generate_roots(cartan_matrix(aid), aid)
+    return generate_roots(cartan_matrix(aid))
 
 
 def _cholesky(gram: tuple[tuple[Fraction, ...], ...]) -> list[list[float]]:
@@ -375,13 +372,6 @@ def _cholesky(gram: tuple[tuple[Fraction, ...], ...]) -> list[list[float]]:
             else:
                 lower[i][j] = s / lower[j][j]
     return lower
-
-
-def embed_coefficients(rs: RootSystem, coeffs: tuple[int, ...]) -> list[float]:
-    """Euclidean coordinates of a root given by simple-root coefficients."""
-    lower = _cholesky(rs.gram)
-    n = rs.rank
-    return [sum(coeffs[i] * lower[i][k] for i in range(n)) for k in range(n)]
 
 
 def embed_roots(rs: RootSystem) -> list[list[float]]:

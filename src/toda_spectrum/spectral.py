@@ -58,10 +58,22 @@ class PerronVector:
     eigenvalue: float
 
 
+def _float(x: float) -> float:
+    """``float(x)``, except that a number too large for a float becomes +-inf.
+
+    The callers' finiteness checks then raise their ``ValueError`` for it,
+    where ``float`` itself raises ``OverflowError`` for such an integer.
+    """
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _symmetric_copy(m: Matrix) -> list[list[float]]:
     """A float copy of ``m``, symmetrised; raises unless square, finite and symmetric to 1e-12."""
     n = len(m)
-    a = [[float(v) for v in row] for row in m]
+    a = [[_float(v) for v in row] for row in m]
     for row in a:
         if len(row) != n:
             raise ValueError("matrix must be square")
@@ -106,13 +118,15 @@ def eigenvalues_from_bonds(
     form, and implicit QL with Wilkinson shifts (EISPACK tql1) diagonalises
     it. Outside the band reduction and QL, the work is O(n + bonds).
 
-    Raises ``ValueError`` for a value that is not finite, or a bond that is
-    not a pair i < j of the nodes or that repeats a pair; ``RuntimeError`` if
-    QL needs more than 30 iterations for one eigenvalue or if the eigenvalues
-    miss sum = trace or sum of squares = squared Frobenius norm by 1e-12
-    relative.
+    Raises ``ValueError`` for a value that is not finite (an integer too
+    large for a float included), or a bond that is not a pair i < j of the
+    nodes or that repeats a pair; ``RuntimeError`` if QL needs more than 30
+    iterations for one eigenvalue or if the eigenvalues miss sum = trace or
+    sum of squares = squared Frobenius norm by 1e-12 relative.
     """
     n = len(diagonal)
+    diagonal = [_float(x) for x in diagonal]
+    bonds = [(i, j, _float(x)) for i, j, x in bonds]
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j, x in bonds:
         if not 0 <= i < j < n:
@@ -338,16 +352,19 @@ def jacobi_eigen(m: Matrix) -> EigenDecomposition:
 def perron_vector(a: Matrix) -> PerronVector:
     """Left Perron-Frobenius vector of a nonnegative irreducible matrix, max component 1.
 
-    ``a`` must be square with finite nonnegative entries, and irreducible,
-    which is decided exactly from its nonzero pattern before any step: every
-    node must be reached from node 0 along the rows and along the columns
-    (strong connectivity; Berman & Plemmons, *Nonnegative Matrices in the
+    ``a`` must be square with finite nonnegative entries (an integer too
+    large for a float is not finite), and irreducible, which is decided
+    exactly from its nonzero pattern before any step: every node must be
+    reached from node 0 along the rows and along the columns (strong
+    connectivity; Berman & Plemmons, *Nonnegative Matrices in the
     Mathematical Sciences*), so any 1 x 1 matrix passes. Otherwise
     ``ValueError``. Power iteration runs on (a + 2I) acting on row vectors,
     starting from all ones; the +2 shift keeps bipartite sign structure (top
-    eigenvalue pairs +/-) from stalling the iteration; ``RuntimeError`` if it
-    has not converged after ``_MAX_POWER_ITER`` steps. The reported
-    eigenvalue refers to ``a`` itself.
+    eigenvalue pairs +/-) from stalling the iteration. It raises
+    ``OverflowError`` at the first step whose largest component is not
+    finite (entries near the float maximum; scale ``a`` down), and
+    ``RuntimeError`` if it has not converged after ``_MAX_POWER_ITER``
+    steps. The reported eigenvalue refers to ``a`` itself.
 
     Each step costs O(n + nonzeros): the nonzero entries of each column are
     listed once and summed in row order, which gives the same iterates, bit
@@ -359,7 +376,7 @@ def perron_vector(a: Matrix) -> PerronVector:
     for i, row in enumerate(a):
         if len(row) != n:
             raise ValueError("matrix must be square")
-        for j, x in enumerate(map(float, row)):
+        for j, x in enumerate(map(_float, row)):
             if not 0.0 <= x < math.inf:  # written so that a NaN fails
                 raise ValueError("matrix entries must be finite and nonnegative")
             if x:
@@ -372,6 +389,8 @@ def perron_vector(a: Matrix) -> PerronVector:
     def step(vec: list[float]) -> tuple[list[float], float]:
         w = [sum([vec[i] * x for i, x in col]) + 2.0 * vec[j] for j, col in enumerate(cols)]
         top = max(w)
+        if not top < math.inf:  # checked before the division, so finite steps are unchanged
+            raise OverflowError("power iteration overflowed: a step's largest component is inf")
         nxt = [x / top for x in w]
         return nxt, max(map(abs, map(operator.sub, nxt, vec)))
 

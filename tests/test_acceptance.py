@@ -26,7 +26,7 @@ from toda_spectrum.radicals import (
     eval_radical,
     match_eigenvalue_exponents,
 )
-from toda_spectrum.root_systems import cartan_matrix, dynkin_adjacency, root_system
+from toda_spectrum.root_systems import dynkin_adjacency, root_system
 from toda_spectrum.spectral import jacobi_eigen, recover_exponents
 from toda_spectrum.verify import (
     E8_MASS_QUARTICS,
@@ -41,7 +41,7 @@ def _report(number: int, text: str) -> None:
 
 
 def test_criterion_01_adjacency_charpoly_exact():
-    poly = char_poly_exact(RationalMatrix.from_rows(dynkin_adjacency(cartan_matrix(root_system("E8").algebra))))
+    poly = char_poly_exact(RationalMatrix.from_rows(dynkin_adjacency(root_system("E8").cartan)))
     assert poly.coefficients == tuple(Fraction(c) for c in (1, 0, -8, 0, 14, 0, -7, 0, 1))
     _report(1, "E8 adjacency characteristic polynomial is x^8 - 7x^6 + 14x^4 - 8x^2 + 1, exactly")
 
@@ -61,7 +61,7 @@ def test_criterion_03_perron_vector_reference_and_recurrences():
     assert abs(u[4] - 1.0) <= 1e-12  # component 5 normalises to 1
     reference = (0.2091, 0.4158, 0.6180, 0.8135, 1.0, 0.6728, 0.3383, 0.5028)
     assert max(abs(a - b) for a, b in zip(u, reference)) <= 5e-5
-    a = dynkin_adjacency(cartan_matrix(root_system("E8").algebra))
+    a = dynkin_adjacency(root_system("E8").cartan)
     lam = 2.0 * math.cos(math.pi / 30)
     residual = max(
         abs(sum(u[i] * a[i][j] for i in range(8)) - lam * u[j]) for j in range(8)
@@ -79,7 +79,7 @@ def test_criterion_04_golden_ratio_mass_ratios():
 
 
 def test_criterion_05_eigenvalues_exponents_and_pairing():
-    a = [[float(v) for v in row] for row in dynkin_adjacency(cartan_matrix(root_system("E8").algebra))]
+    a = [[float(v) for v in row] for row in dynkin_adjacency(root_system("E8").cartan)]
     eigs = jacobi_eigen(a).eigenvalues
     assert recover_exponents(eigs, 30) == (1, 7, 11, 13, 17, 19, 23, 29)
     for x, e in zip(eigs, (1, 7, 11, 13, 17, 19, 23, 29)):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from toda_spectrum import masses
+from toda_spectrum import masses, verify
 from toda_spectrum.cli import main
 from toda_spectrum.spectral import jacobi_eigen
 
@@ -79,7 +79,7 @@ def test_rerecorded_entries_agree_with_a_jacobi_reference(args, monkeypatch):
         rows = _verify_rows(stdout, fmt)
         assert len(rows) == 17
         for residual, tolerance, passed in rows:
-            assert abs(residual) <= masses.CONSISTENCY_TOL
+            assert abs(residual) <= verify.CONSISTENCY_TOL
             assert passed == (abs(residual) <= tolerance)
         return
 

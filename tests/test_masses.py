@@ -14,7 +14,6 @@ from toda_spectrum.masses import (
     Spectrum,
     adjacency_eigen,
     adjacency_symmetrized,
-    consistency_check,
     mass_char_poly,
     mass_matrix,
     mass_matrix_embedded,
@@ -98,13 +97,13 @@ def test_spectrum_both_runs_each_float_solver_once(monkeypatch):
 
 
 def test_e8_mass_trace_is_twice_coxeter():
-    assert mass_matrix("E8").kg.trace() == 60
+    assert mass_matrix("E8").trace() == 60
 
 
 @pytest.mark.parametrize("name", ADE)
 def test_ade_mass_trace_is_twice_coxeter(name):
     rs = root_system(name)
-    assert mass_matrix(name).kg.trace() == 2 * rs.coxeter_number
+    assert mass_matrix(name).trace() == 2 * rs.coxeter_number
 
 
 @pytest.mark.parametrize("name", classical.all_algebras(8))
@@ -242,7 +241,7 @@ def no_embedding(monkeypatch):
 def test_algebra_requests_build_no_embedding(name, no_embedding):
     spectrum_method1(name)
     spectrum_method2(name)
-    consistency_check(name)
+    mass_ratio_spread(name)
     mass_char_poly(name)
     adjacency_eigen(name)
 
@@ -279,8 +278,7 @@ def test_verify_suites_build_no_embedding(no_embedding):
 
 
 def test_a1_mass_matrix_is_four():
-    mm = mass_matrix("A1")
-    assert mm.kg.entries == ((Fraction(4),),)
+    assert mass_matrix("A1").entries == ((Fraction(4),),)
     spec = spectrum_method2("A1")
     assert abs(spec.masses[0] - 2.0) <= 1e-14
 
@@ -382,20 +380,20 @@ def test_rescaled_rejects_unknown_kind():
 
 @pytest.mark.parametrize("name", ADE)
 def test_consistency_simply_laced(name):
-    assert consistency_check(name) <= 1e-9
+    assert mass_ratio_spread(name) <= 1e-9
 
 
 def test_consistency_a1_zero():
-    assert consistency_check("A1") <= 1e-13
+    assert mass_ratio_spread("A1") <= 1e-13
 
 
 def test_consistency_d4():
-    assert consistency_check("D4") <= 1e-9
+    assert mass_ratio_spread("D4") <= 1e-9
 
 
 def test_consistency_reports_without_asserting_for_b3():
-    spread = consistency_check("B3")  # must not raise
-    assert spread > 0.1  # the two routes genuinely disagree here
+    # the spread is reported, not judged: the two routes genuinely disagree here
+    assert mass_ratio_spread("B3") > 0.1
 
 
 def test_consistency_error_is_consistency_specific():
@@ -454,7 +452,7 @@ def test_perron_times_scale_squares_are_roots_of_their_quartic():
     # it is a root of the quartic E8_QUARTIC_LABELS assigns it, and of neither
     # quartic under the swapped assignment
     u = perron_components("E8")
-    scale = masses._mass_scale(root_system("E8"), u)
+    scale = masses._mass_scale(masses.E8, u)
 
     def residuals(assignment):
         return [

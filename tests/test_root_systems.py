@@ -16,7 +16,6 @@ from toda_spectrum.root_systems import (
     _raise_to_dominant,
     cartan_matrix,
     dynkin_adjacency,
-    embed_coefficients,
     embed_roots,
     generate_roots,
     root_system,
@@ -286,7 +285,7 @@ def test_coxeter_numbers(name):
 def test_highest_root_dominates_componentwise(name):
     rs = root_system(name)
     for root in rs.positive_roots:
-        assert all(c <= m for c, m in zip(root, rs.highest_root))
+        assert all(c <= m for c, m in zip(root, rs.marks))
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "D4", "E6", "G2", "F4"])
@@ -335,7 +334,7 @@ def _walk_agrees_with_closure(cartan):
     rs = generate_roots(cartan)
     assert "positive_roots" not in vars(rs)
     theta = rs.positive_roots[-1]
-    assert rs.highest_root == rs.marks == theta
+    assert rs.marks == theta
     assert rs.coxeter_number == 1 + sum(theta)
     # |positive roots| = rank * h / 2, a count the walk never sees
     assert rs.coxeter_number * rs.rank == 2 * len(rs.positive_roots)
@@ -380,18 +379,13 @@ def test_adjacency_eigenvalues_agree_with_jacobi_on_random_diagrams(entries):
 def test_raising_walk_needs_a_long_start(name):
     # from a short simple root the walk ends at the highest short root, not at theta
     rs = root_system(name)
-    n = rs.rank
-    short = [
-        r
-        for r in rs.positive_roots
-        if sum(r[i] * rs.gram[i][j] * r[j] for i in range(n) for j in range(n)) < 2
-    ]
+    short = [r for r in rs.positive_roots if _squared_length(rs, r) < 2]
     for start, d in enumerate(rs.symmetrizers):
         end = _raise_to_dominant(rs.cartan.bonds, start)
         if d == 1:
-            assert end == rs.highest_root
+            assert end == rs.marks
         else:
-            assert end == short[-1] != rs.highest_root
+            assert end == short[-1] != rs.marks
 
 
 def _exponents(name):
@@ -419,7 +413,7 @@ EXACT_KINDS = (_spectrum_both, ts.mass_char_poly)
 )
 def test_spectra_never_build_the_positive_roots(name, kinds, monkeypatch):
     aid = AlgebraId.parse(name)
-    rs = generate_roots(cartan_matrix(aid), aid)
+    rs = generate_roots(cartan_matrix(aid))
     lookups = []
     monkeypatch.setattr(root_systems, "_root_system", lambda a: lookups.append(a) or rs)
     # fresh per-algebra caches, so every request recomputes from rs
@@ -454,7 +448,6 @@ def test_classical_marks(name):
 
 def test_e8_highest_root_and_coxeter():
     rs = root_system("E8")
-    assert rs.highest_root == (2, 3, 4, 5, 6, 4, 2, 3)
     assert rs.marks == (2, 3, 4, 5, 6, 4, 2, 3)
     assert rs.coxeter_number == 30
 
@@ -462,7 +455,7 @@ def test_e8_highest_root_and_coxeter():
 def test_a1_trivial_system():
     rs = root_system("A1")
     assert rs.positive_roots == ((1,),)
-    assert rs.highest_root == (1,)
+    assert rs.marks == (1,)
     assert rs.coxeter_number == 2
 
 
@@ -470,7 +463,7 @@ def test_a2_by_hand():
     # brute-force closure by hand: {a1, a2, a1+a2}
     rs = root_system("A2")
     assert rs.positive_roots == ((0, 1), (1, 0), (1, 1))
-    assert rs.highest_root == (1, 1)
+    assert rs.marks == (1, 1)
     assert rs.coxeter_number == 3
 
 
@@ -490,7 +483,7 @@ def test_root_system_closed_once_whatever_the_spelling(monkeypatch):
 
 def test_generate_roots_from_raw_cartan():
     rs = generate_roots(CartanMatrix(((2, -1), (-1, 2))))
-    assert rs.algebra is None
+    assert rs.marks == (1, 1)
     assert len(rs.positive_roots) == 3
 
 
@@ -571,11 +564,16 @@ def test_embedding_reproduces_gram_form(name):
         assert abs(vectors[0][k] - recon) <= 1e-12
 
 
+def _squared_length(rs, root):
+    """c^T G c for a root with simple-root coefficients c: exact, from the Gram form."""
+    n = rs.rank
+    return sum(root[i] * rs.gram[i][j] * root[j] for i in range(n) for j in range(n))
+
+
 def test_e8_all_embedded_roots_have_length_two():
     rs = root_system("E8")
-    for root in rs.positive_roots:
-        coords = embed_coefficients(rs, root)
-        assert abs(sum(x * x for x in coords) - 2.0) <= 1e-12
+    assert len(rs.positive_roots) == 120
+    assert all(_squared_length(rs, root) == 2 for root in rs.positive_roots)
     affine = embed_roots(rs)[0]
     assert abs(sum(x * x for x in affine) - 2.0) <= 1e-12
 
@@ -589,7 +587,5 @@ def test_a1_embedding():
 
 def test_b2_long_and_short_lengths():
     rs = root_system("B2")
-    lengths = sorted(
-        sum(x * x for x in embed_coefficients(rs, root)) for root in rs.positive_roots
-    )
-    assert [round(v, 12) for v in lengths] == [1.0, 1.0, 2.0, 2.0]
+    lengths = sorted(_squared_length(rs, root) for root in rs.positive_roots)
+    assert lengths == [1, 1, 2, 2]

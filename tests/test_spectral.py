@@ -294,6 +294,7 @@ def test_symmetric_eigenvalues_small_cases():
         [[0.0, math.inf], [math.inf, 0.0]],
         [[1.0, 2.0], [math.nan, 1.0]],
         [[math.nan]],
+        pytest.param([[0, 10**400], [10**400, 0]], id="int 10**400"),
     ],
     ids=str,
 )
@@ -323,6 +324,7 @@ def test_eigenvalues_from_bonds_do_not_depend_on_the_bond_order(name):
         [(0, 1, math.inf)],
         [(0, 1, -math.inf)],
         [(0, 1, math.nan)],
+        pytest.param([(0, 1, 10**400)], id="int 10**400"),
     ],
     ids=str,
 )
@@ -567,12 +569,29 @@ def test_perron_rejects_exactly_the_matrices_that_are_not_irreducible(a):
         [[1, 1], [0, 1]],
         [[0.0, math.nan], [1.0, 0.0]],
         [[0.0, 1.0], [math.inf, 0.0]],
+        pytest.param([[0, 10**400], [1, 0]], id="int 10**400"),
     ],
     ids=str,
 )
 def test_perron_rejects_a_bad_matrix_without_iterating(a):
     start = time.perf_counter()
     with pytest.raises(ValueError):
+        perron_vector(a)
+    assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1e308, 1e308], [1e308, 1e308]],
+        # irreducible, spectral radius about 1.4e4, yet the first step's sums overflow
+        [[0.0, 1e308, 0.0], [1e-300, 0.0, 1e-300], [0.0, 1e308, 0.0]],
+    ],
+    ids=str,
+)
+def test_perron_overflow_raises_at_the_first_step_that_is_not_finite(a):
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match="overflowed"):
         perron_vector(a)
     assert time.perf_counter() - start < 0.01
 

@@ -3,9 +3,8 @@ import pathlib
 
 import toda_spectrum
 from toda_spectrum import masses, verify
-from toda_spectrum.masses import CONSISTENCY_TOL
 from toda_spectrum.report import CheckReport, ExactCheckResult, check, check_exact
-from toda_spectrum.verify import SUITES, _merged_check
+from toda_spectrum.verify import CONSISTENCY_TOL, SUITES, _merged_check
 
 PACKAGE = pathlib.Path(toda_spectrum.__file__).parent
 
@@ -133,4 +132,10 @@ def test_radicals_imports_only_report_from_the_package():
 
 
 def test_masses_imports_no_check_module():
-    assert not _package_imports("masses") & {"report", "radicals", "verify"}
+    assert not _package_imports("masses") & {"classical", "report", "radicals", "verify"}
+
+
+def test_star_import_binds_every_name_in_all():
+    namespace = {}
+    exec("from toda_spectrum import *", namespace)
+    assert set(toda_spectrum.__all__) <= namespace.keys()
