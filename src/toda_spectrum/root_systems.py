@@ -11,6 +11,12 @@ walk from a long simple root and builds no positive root set; the full set is
 closed only when :attr:`RootSystem.positive_roots` is first read. A
 :class:`RootSystem` is built from its Cartan matrix alone and carries no name.
 
+A build reads each Cartan row once, at C speed, into the bond list of the
+Dynkin diagram. Everything after that (the entry checks, the tree, the exact
+pivots, the symmetrizers, the Gram form and the raising walk) is O(n + bonds)
+Python-level work, and the Gram form shares its few distinct ``Fraction``
+values, so a build makes O(1) of them.
+
 Node numbering follows one fixed convention per family: chains are numbered
 left to right, and a branch node, where present, is attached last (node
 ``rank`` hangs off node ``rank - 2`` in the D family and off node ``rank - 3``
@@ -22,6 +28,7 @@ Long roots are normalised to squared length 2.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -79,7 +86,15 @@ class AlgebraId:
                 f"cannot parse algebra name {text!r}; expected <letter><rank> "
                 f"with {RANK_RULES_TEXT}"
             )
-        return cls(m.group(1).upper(), int(m.group(2)))
+        digits = m.group(2)
+        try:
+            rank = int(digits)
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise InvalidAlgebraError(
+                f"rank with {len(digits)} digits is too large; "
+                f"valid families and ranks: {RANK_RULES_TEXT}"
+            ) from None
+        return cls(m.group(1).upper(), rank)
 
     @classmethod
     def of(cls, algebra: "AlgebraId | str") -> "AlgebraId":
@@ -102,26 +117,63 @@ class CartanMatrix:
     exact pivots of a leaf-first elimination must all be positive. Scaling
     the columns by the positive symmetrizers keeps every pivot's sign, so
     this is positive definiteness of the symmetrized matrix. The elimination
-    fills nothing on a tree and costs O(n) after the O(n^2) entry scan; its
-    pivots are integer pairs (numerator, positive denominator) in lowest
-    terms, the values a ``Fraction`` elimination would reach.
+    fills nothing on a tree and costs O(n); its pivots are integer pairs
+    (numerator, positive denominator) in lowest terms, the values a
+    ``Fraction`` elimination would reach.
+
+    Each row is read once, at C speed, into :attr:`bonds`, and the shape,
+    diagonal, entry and zero-pattern checks take O(n + bonds) Python-level
+    work. On rows of integers they raise the error that a scan of all n^2
+    entries in row-major order meets first: that scan can fail only at a
+    bond, at a zero whose transpose is a bond, or at a later row too short
+    to have column i, so one pass over the bonds and the row lengths finds
+    the first failing column of each row.
     """
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
-        for i, row in enumerate(self.entries):
+        rows, bonds = self.entries, self.bonds
+        n = len(rows)
+        # first[i]: the first column where the scan of row i fails, if one of
+        # its bonds or their transposes shows it: a value out of range, a
+        # nonzero whose transpose is zero or missing, or a zero whose
+        # transpose is not (found from the later row that holds the nonzero)
+        first: dict[int, int] = {}
+        for i, row in enumerate(bonds):
+            for j, v in row:
+                if j >= n:
+                    break  # the row is too long, and fails as not square first
+                if not (i < len(rows[j]) and rows[j][i]):
+                    first.setdefault(i, j)
+                    if j < i and first.get(j, n) > i:
+                        first[j] = i
+                elif i != j and v not in (0, -1, -2, -3):
+                    first.setdefault(i, j)
+        # short[k]: the rows of length k < n; the scan of row i reads column i
+        # of every later row, and fails at the first one of length <= i
+        short: dict[int, list[int]] = {}
+        for r, row in enumerate(rows):
+            if len(row) < n:
+                short.setdefault(len(row), []).append(r)
+        first_short = n
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise InvalidAlgebraError("Cartan matrix must be square")
             if row[i] != 2:
                 raise InvalidAlgebraError("Cartan diagonal entries must equal 2")
-            for j, v in enumerate(row):
+            if i in short:
+                first_short = min(first_short, *short[i])
+            # every short row lies after row i, or row i would not be reached;
+            # the scan passes every column of the row before j, and fails at j
+            j = min(first.get(i, n), first_short)
+            if j < n:
+                v = row[j]
                 if i != j and v not in (0, -1, -2, -3):
                     raise InvalidAlgebraError(
                         f"off-diagonal Cartan entry {v} at ({i},{j}) not in {{0,-1,-2,-3}}"
                     )
-                if (v == 0) != (self.entries[j][i] == 0):
+                if (v == 0) != (rows[j][i] == 0):
                     raise InvalidAlgebraError("Cartan zero pattern must be symmetric")
         # leaf-first elimination: on a tree it fills nothing, and each pivot
         # num[i] / den[i] is final once the node's children are eliminated
@@ -134,7 +186,7 @@ class CartanMatrix:
                 )
             if p >= 0:
                 # pivot[p] -= C_pi C_ip / pivot[i], over the denominator den[p] num[i]
-                top = num[p] * num[i] - self.entries[p][i] * self.entries[i][p] * den[p] * den[i]
+                top = num[p] * num[i] - rows[p][i] * rows[i][p] * den[p] * den[i]
                 bottom = den[p] * num[i]
                 g = math.gcd(top, bottom)
                 num[p], den[p] = top // g, bottom // g
@@ -145,8 +197,12 @@ class CartanMatrix:
 
     @functools.cached_property
     def bonds(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node i, the nonzero entries ``(j, C_ij)`` of row i, the diagonal included."""
-        return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in self.entries)
+        """Per node i, the nonzero entries ``(j, C_ij)`` of row i, the diagonal included.
+
+        Each row is filtered by ``itertools.compress``, so the n^2 zeros are
+        skipped in C and Python sees only the bonds.
+        """
+        return tuple(tuple(itertools.compress(enumerate(row), row)) for row in self.entries)
 
     @functools.cached_property
     def tree_order(self) -> tuple[tuple[int, int], ...]:
@@ -175,7 +231,9 @@ class CartanMatrix:
 def cartan_matrix(algebra: AlgebraId) -> CartanMatrix:
     """Cartan matrix in the fixed node numbering documented in the module docstring."""
     l = algebra.rank
-    c = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
+    c = [[0] * l for _ in range(l)]
+    for i, row in enumerate(c):
+        row[i] = 2
 
     def bond(i: int, j: int, cij: int = -1, cji: int = -1) -> None:
         c[i][j] = cij
@@ -269,19 +327,25 @@ class RootSystem:
         return tuple(sorted(seen, key=lambda c: (sum(c), c)))
 
 
-def _symmetrizers(cartan: CartanMatrix) -> tuple[Fraction, ...]:
+def _symmetrizers(cartan: CartanMatrix) -> tuple[list[Fraction], list[int]]:
     """Per-node rational weights making C_ij * d_j symmetric, scaled so max(d) = 1.
 
-    A simple bond passes its parent's weight on unchanged, so a new
-    ``Fraction`` is made only across a multiple bond.
+    Returned as the distinct weights and, per node, the index of its weight
+    in them: a simple bond passes its parent's weight on unchanged, so a new
+    ``Fraction`` is made only across a multiple bond, and the scaling divides
+    each distinct weight once.
     """
-    d = [Fraction(1)] * cartan.rank
+    values, of = [Fraction(1)], [0] * cartan.rank
     for i, p in cartan.tree_order[1:]:
         # symmetry of the Gram form: C_pi d_i = C_ip d_p
         cip, cpi = cartan.entries[i][p], cartan.entries[p][i]
-        d[i] = d[p] if cip == cpi else d[p] * Fraction(cip, cpi)
-    top = max(d)
-    return tuple(d) if top == 1 else tuple(x / top for x in d)
+        if cip == cpi:
+            of[i] = of[p]
+        else:
+            of[i] = len(values)
+            values.append(values[of[p]] * Fraction(cip, cpi))
+    top = max(values)
+    return ([x / top for x in values] if top != 1 else values), of
 
 
 def _raise_to_dominant(
@@ -323,23 +387,32 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     The highest root comes from one raising walk (:func:`_raise_to_dominant`)
     started at a long simple root; it takes at most h - 2 steps, and no
     positive root set is built. The Gram matrix is filled from the nonzero
-    Cartan entries, all zeros sharing one ``Fraction``, so a build makes
-    O(n + bonds) new ``Fraction`` objects rather than n^2.
+    Cartan entries, all zeros sharing one ``Fraction``. A Gram entry
+    C_ij * d_j takes one value per pair (C_ij, weight of j), a handful in
+    all, so each is made once and shared: the build makes O(1) new
+    ``Fraction`` objects and does O(n + bonds) Python-level work beyond the
+    n zero-filled rows.
     """
     n = cartan.rank
-    d = _symmetrizers(cartan)
+    values, of = _symmetrizers(cartan)
     bonds = cartan.bonds
     zero = Fraction(0)
+    # products[k][v] = v * values[k], made on first use
+    products: list[dict[int, Fraction]] = [{} for _ in values]
     gram = []
     for row in bonds:
         g = [zero] * n
         for j, v in row:
-            g[j] = v * d[j]
+            k = of[j]
+            x = products[k].get(v)
+            if x is None:
+                x = products[k][v] = v * values[k]
+            g[j] = x
         gram.append(tuple(g))
-    marks = _raise_to_dominant(bonds, d.index(1))
+    marks = _raise_to_dominant(bonds, of.index(values.index(1)))
     return RootSystem(
         cartan=cartan,
-        symmetrizers=d,
+        symmetrizers=tuple(map(values.__getitem__, of)),
         gram=tuple(gram),
         marks=marks,
         coxeter_number=1 + sum(marks),

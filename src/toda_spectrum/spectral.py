@@ -24,7 +24,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 Matrix = Sequence[Sequence[float]]
 
@@ -85,9 +85,12 @@ def _symmetric_copy(m: Matrix) -> list[list[float]]:
     )
     if not skew <= SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3e})")
+    # only an unequal pair is averaged: floats 1e-12 or less apart lie below
+    # about 9e3, so their sum cannot overflow; an equal pair stays as it is
     for i in range(n):
         for j in range(i + 1, n):
-            a[i][j] = a[j][i] = 0.5 * (a[i][j] + a[j][i])
+            if a[i][j] != a[j][i]:
+                a[i][j] = a[j][i] = 0.5 * (a[i][j] + a[j][i])
     return a
 
 
@@ -172,15 +175,17 @@ def _reverse_cuthill_mckee(adj: list[list[int]]) -> list[int]:
     the tie-breaks. Each component is numbered breadth first, unseen
     neighbours by ascending degree, from a pseudo-peripheral node: while that
     adds levels, restart from a least-degree node of the last level. The
-    order is then reversed (Cuthill & McKee 1969; George & Liu 1981).
+    order is then reversed (Cuthill & McKee 1969; George & Liu 1981). Each
+    neighbour list is sorted by degree once, stably, so ties stay ascending.
     """
     degree = [len(x) for x in adj].__getitem__
+    by_degree = [sorted(x, key=degree) for x in adj]
     order: list[int] = []
     numbered: set[int] = set()
     for start in sorted(range(len(adj)), key=degree):
         if start not in numbered:
-            levels = _levels(adj, start, degree)
-            while len(wider := _levels(adj, min(levels[-1], key=degree), degree)) > len(levels):
+            levels = _levels(by_degree, start)
+            while len(wider := _levels(by_degree, min(levels[-1], key=degree))) > len(levels):
                 levels = wider
             component = [v for level in levels for v in level]
             order += component
@@ -188,10 +193,10 @@ def _reverse_cuthill_mckee(adj: list[list[int]]) -> list[int]:
     return order[::-1]
 
 
-def _levels(adj: list[list[int]], root: int, key: Callable | None = None) -> list[list[int]]:
-    """Breadth-first levels from ``root``, each node once; ``adj[v]`` taken in ``key`` order."""
+def _levels(adj: list[list[int]], root: int) -> list[list[int]]:
+    """Breadth-first levels from ``root``, each node once; ``adj[v]`` taken in its order."""
     levels, seen = [[root]], {root}
-    while nxt := [w for v in levels[-1] for w in sorted(adj[v], key=key) if w not in seen]:
+    while nxt := [w for v in levels[-1] for w in adj[v] if w not in seen]:
         levels.append(list(dict.fromkeys(nxt)))  # the first parent places a shared child
         seen.update(nxt)
     return levels
@@ -322,7 +327,10 @@ def jacobi_eigen(m: Matrix) -> EigenDecomposition:
                 apq = a[p][q]
                 if abs(apq) < JACOBI_OFFDIAG_TOL * 1e-3:
                     continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                # halved before the subtraction, which then cannot overflow;
+                # the same bits as (a_qq - a_pp) / (2 a_pq) unless a_qq, a_pp or
+                # their difference is below 2^-1021, where halving can round
+                theta = (0.5 * a[q][q] - 0.5 * a[p][p]) / apq
                 t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 if theta < 0.0:
                     t = -t

@@ -1,0 +1,121 @@
+"""Dense reference for ``CartanMatrix`` validation and the ``generate_roots`` build.
+
+``CartanMatrix`` checks its entries on the bond list, and ``generate_roots``
+shares one ``Fraction`` per distinct Gram value. The functions here do the
+same work the plain way: validation visits all n^2 entries in row-major
+order, and the Gram build makes one ``Fraction`` product per bond. The tests
+hold the library to them: the same exception and message for every input,
+and equal fields, of the same types, for every accepted one.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from toda_spectrum.root_systems import InvalidAlgebraError, _raise_to_dominant
+
+
+def dense_cartan_entries(family: str, l: int):
+    """Cartan entries of a named algebra, every entry of an n x n list set first."""
+    c = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
+
+    def bond(i, j, cij=-1, cji=-1):
+        c[i][j] = cij
+        c[j][i] = cji
+
+    if family == "G":
+        bond(0, 1, -1, -3)
+    else:
+        for i in range(l - 1 if family in "ABCF" else l - 2):
+            bond(i, i + 1)
+        if family == "B":
+            bond(l - 2, l - 1, -2, -1)
+        elif family == "C":
+            bond(l - 2, l - 1, -1, -2)
+        elif family == "F":
+            bond(1, 2, -2, -1)
+        elif family == "D":
+            bond(l - 3, l - 1)
+        elif family == "E":
+            bond(l - 4, l - 1)
+    return tuple(tuple(row) for row in c)
+
+
+def dense_bonds(entries):
+    """Per row, the nonzero entries ``(j, C_ij)``, found by visiting every entry."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in entries)
+
+
+def dense_tree_order(entries):
+    """(node, parent) pairs breadth first from node 0; raises unless a connected tree."""
+    n = len(entries)
+    bonds = dense_bonds(entries)
+    edges = (sum(map(len, bonds)) - n) // 2  # the diagonal is in every row
+    order = [(0, -1)] if n else []
+    reached = {0}
+    for node, _ in order:
+        for j, _ in bonds[node]:
+            if j not in reached:
+                reached.add(j)
+                order.append((j, node))
+    if edges != n - 1 or len(order) != n:
+        raise InvalidAlgebraError(
+            f"Dynkin diagram with {n} nodes and {edges} bonds is not a connected tree; "
+            "matrix is not of finite type"
+        )
+    return tuple(order)
+
+
+def dense_validate(entries) -> None:
+    """Raise what ``CartanMatrix(entries)`` must raise, scanning every entry."""
+    n = len(entries)
+    for i, row in enumerate(entries):
+        if len(row) != n:
+            raise InvalidAlgebraError("Cartan matrix must be square")
+        if row[i] != 2:
+            raise InvalidAlgebraError("Cartan diagonal entries must equal 2")
+        for j, v in enumerate(row):
+            if i != j and v not in (0, -1, -2, -3):
+                raise InvalidAlgebraError(
+                    f"off-diagonal Cartan entry {v} at ({i},{j}) not in {{0,-1,-2,-3}}"
+                )
+            if (v == 0) != (entries[j][i] == 0):
+                raise InvalidAlgebraError("Cartan zero pattern must be symmetric")
+    num, den = [2] * n, [1] * n
+    for i, p in reversed(dense_tree_order(entries)):
+        if num[i] <= 0:
+            shown = f"{num[i]}/{den[i]}" if den[i] != 1 else num[i]
+            raise InvalidAlgebraError(
+                f"pivot {shown} at node {i} is not positive; matrix is not of finite type"
+            )
+        if p >= 0:
+            top = num[p] * num[i] - entries[p][i] * entries[i][p] * den[p] * den[i]
+            bottom = den[p] * num[i]
+            g = math.gcd(top, bottom)
+            num[p], den[p] = top // g, bottom // g
+
+
+def dense_root_system(entries) -> dict:
+    """The fields of ``generate_roots(CartanMatrix(entries))``, one ``Fraction`` per entry."""
+    dense_validate(entries)
+    n = len(entries)
+    order = dense_tree_order(entries)
+    d = [Fraction(1)] * n
+    for i, p in order[1:]:
+        cip, cpi = entries[i][p], entries[p][i]
+        d[i] = d[p] if cip == cpi else d[p] * Fraction(cip, cpi)
+    top = max(d)
+    d = tuple(d) if top == 1 else tuple(x / top for x in d)
+    bonds = dense_bonds(entries)
+    gram = tuple(tuple(entries[i][j] * d[j] for j in range(n)) for i in range(n))
+    marks = _raise_to_dominant(bonds, d.index(1))
+    return {
+        "entries": entries,
+        "bonds": bonds,
+        "tree_order": order,
+        "symmetrizers": d,
+        "gram": gram,
+        "marks": marks,
+        "coxeter_number": 1 + sum(marks),
+    }

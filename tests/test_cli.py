@@ -96,6 +96,13 @@ def test_spectrum_rank_in_digits_that_are_not_ascii_exits_2():
     assert "cannot parse algebra name" in result.output
 
 
+def test_spectrum_rank_with_5000_digits_exits_2():
+    result = runner.invoke(main, ["spectrum", "A" + "9" * 5000])
+    assert result.exit_code == 2
+    assert "rank with 5000 digits is too large" in result.output
+    assert result.exc_info is None or result.exc_info[0] is SystemExit
+
+
 def test_spectrum_deterministic_output():
     first = run("spectrum", "E8", "--method", "both", "--format", "json").output
     second = run("spectrum", "E8", "--method", "both", "--format", "json").output

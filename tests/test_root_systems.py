@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toda_spectrum as ts
+from dense_reference import dense_cartan_entries, dense_root_system, dense_validate
 from toda_spectrum import classical, masses, root_systems
 from toda_spectrum.root_systems import (
     AlgebraId,
@@ -47,6 +48,11 @@ def test_parse_names():
 def test_parse_rejects_invalid(bad):
     with pytest.raises(InvalidAlgebraError):
         AlgebraId.parse(bad)
+
+
+def test_parse_rejects_a_rank_with_more_digits_than_int_converts():
+    with pytest.raises(InvalidAlgebraError, match="rank with 5000 digits is too large"):
+        AlgebraId.parse("A" + "9" * 5000)
 
 
 @pytest.mark.parametrize("family, rank", [("A", 2.5), ("E", 7.0), ("A", True), ("A", "3")], ids=str)
@@ -261,6 +267,88 @@ def test_every_supported_algebra_is_of_finite_type(name):
 @given(finite_type_diagrams())
 def test_integer_pivots_reach_the_fraction_verdict_on_random_trees(entries):
     assert _verdict(entries) == _fraction_verdict(entries)
+
+
+def _outcome(build, entries):
+    """The exception type and message ``build(entries)`` raises, or None."""
+    try:
+        build(entries)
+    except Exception as err:  # every exception, so that each must match the reference's
+        return type(err), str(err)
+    return None
+
+
+@st.composite
+def small_integer_matrices(draw):
+    """Up to 6 rows of small integers: random, or a finite-type diagram with a few changes.
+
+    A row is sometimes a different length, so shape errors, and a scan that
+    indexes past the end of a shorter row, are drawn as well.
+    """
+    if draw(st.booleans()):
+        rows = [list(row) for row in draw(finite_type_diagrams())]
+        n = len(rows)
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[i][j] = draw(st.integers(-4, 3))
+    else:
+        n = draw(st.integers(0, 6))
+        value = st.sampled_from([0, 0, 0, -1, -1, 2, -2, -3, -4, 1])
+        rows = [[2 if i == j else draw(value) for j in range(n)] for i in range(n)]
+    if rows and draw(st.integers(0, 7)) == 0:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = (rows[i] + [0])[: draw(st.integers(0, len(rows) + 1))]
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=600)
+@given(small_integer_matrices())
+def test_bond_list_validation_raises_what_the_dense_scan_raises(entries):
+    assert _outcome(CartanMatrix, entries) == _outcome(dense_validate, entries)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((2, -1), ()),  # the scan of row 0 reads column 0 of the empty row 1
+        ((2, 0), ()),  # the zero at (0,1) has no transpose to compare with
+        ((2, 0, -1), (0, 2), (-1, 0, 2)),  # row 1 is short
+        ((2, 0, 0), (-1, 2, 0), (0, -5, 2)),  # asymmetric zero at (0,1) before the bad -5
+        ((2, 0, -7), (-1, 2, 0), (-1, 0, 2)),  # the gap at (0,1) comes before the -7 at (0,2)
+        ((2, -1, 0), (-1, 2, -1), (0, 0, 2)),  # the bond (1,2) has a zero transpose
+    ],
+)
+def test_bond_list_validation_on_malformed_matrices(entries):
+    want = _outcome(dense_validate, entries)
+    assert want is not None
+    assert _outcome(CartanMatrix, entries) == want
+
+
+def _typed(x):
+    """``x`` with the type of each element beside it, through nested tuples."""
+    return (tuple, tuple(map(_typed, x))) if isinstance(x, tuple) else (type(x), x)
+
+
+@pytest.mark.parametrize(
+    "name", classical.all_algebras(16) + [f + str(r) for f in "ABCD" for r in (31, 64)]
+)
+def test_build_equals_the_dense_reference(name):
+    aid = AlgebraId.parse(name)
+    rs = generate_roots(cartan_matrix(aid))
+    want = dense_root_system(dense_cartan_entries(aid.family, aid.rank))
+    got = {
+        "entries": rs.cartan.entries,
+        "bonds": rs.cartan.bonds,
+        "tree_order": rs.cartan.tree_order,
+        "symmetrizers": rs.symmetrizers,
+        "gram": rs.gram,
+        "marks": rs.marks,
+        "coxeter_number": rs.coxeter_number,
+    }
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == value, key
+        assert _typed(got[key]) == _typed(value), key
 
 
 # ---------------------------------------------------------------------------

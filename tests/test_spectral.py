@@ -47,6 +47,15 @@ def test_jacobi_rejects_nonsymmetric():
         jacobi_eigen([[0.0, 1.0], [0.5, 0.0]])
 
 
+def test_symmetric_solvers_take_entries_near_the_float_maximum():
+    # an equal pair is kept as it is, and Jacobi halves before it subtracts:
+    # 1e308 + 1e308 and 2 * 1e308 would both overflow
+    m = [[1e308, 1e308], [1e308, -1e308]]
+    want = math.sqrt(2.0) * 1e308
+    for got in (symmetric_eigenvalues(m), jacobi_eigen(m).eigenvalues):
+        assert got == pytest.approx((want, -want), rel=1e-15)
+
+
 @st.composite
 def symmetric_matrices(draw, max_n=6):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -204,6 +213,61 @@ def test_reverse_cuthill_mckee_bandwidth_on_every_diagram_to_rank_64():
         affine = _ordered_bandwidth(masses._affine_mass_matrix(rs))
         assert plain <= 2, name
         assert affine <= (3 if name == "D4" else 2), name
+
+
+def _rcm_sorting_on_every_visit(adj):
+    """Reverse Cuthill-McKee with each visit sorting its neighbours by degree afresh."""
+    degree = [len(x) for x in adj].__getitem__
+
+    def levels(root):
+        out, seen = [[root]], {root}
+        while nxt := [w for v in out[-1] for w in sorted(adj[v], key=degree) if w not in seen]:
+            out.append(list(dict.fromkeys(nxt)))
+            seen.update(nxt)
+        return out
+
+    order, numbered = [], set()
+    for start in sorted(range(len(adj)), key=degree):
+        if start not in numbered:
+            found = levels(start)
+            while len(wider := levels(min(found[-1], key=degree))) > len(found):
+                found = wider
+            component = [v for level in found for v in level]
+            order += component
+            numbered.update(component)
+    return order[::-1]
+
+
+def _adjacency_lists(n, pairs):
+    adj = [[] for _ in range(n)]
+    for i, j in pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    return [sorted(x) for x in adj]
+
+
+def test_reverse_cuthill_mckee_order_unchanged_on_every_diagram_to_rank_64():
+    lowest = {"A": 1, "B": 2, "C": 2, "D": 3}
+    names = [f + str(r) for f, lo in lowest.items() for r in range(lo, 65)]
+    for name in names + ["E6", "E7", "E8", "F4", "G2"]:
+        rs = root_system(name)
+        for diagonal, bonds in (masses._adjacency_bonds(rs), masses._affine_bonds(rs)):
+            adj = _adjacency_lists(len(diagonal), [(i, j) for i, j, _ in bonds])
+            assert spectral._reverse_cuthill_mckee(adj) == _rcm_sorting_on_every_visit(adj), name
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        )
+    )
+)
+def test_reverse_cuthill_mckee_order_unchanged_on_random_graphs(graph):
+    n, pairs = graph
+    adj = _adjacency_lists(n, {(min(p), max(p)) for p in pairs if p[0] != p[1]})
+    assert spectral._reverse_cuthill_mckee(adj) == _rcm_sorting_on_every_visit(adj)
 
 
 def test_reverse_cuthill_mckee_bandwidth_on_band_graphs():
