@@ -15,7 +15,6 @@ from .exact_poly import (
     refine_real_roots,
 )
 from .masses import (
-    E8,
     GOLDEN_RATIO,
     AdjacencyEigenvalues,
     ConsistencyError,
@@ -51,6 +50,7 @@ from .spectral import (
     recover_exponents,
     symmetric_eigenvalues,
 )
+from .verify import E8
 
 __version__ = "0.1.0"
 

@@ -318,7 +318,7 @@ def _poly(aid: AlgebraId, poly: RationalPolynomial) -> Output:
 def _dynkin(aid: AlgebraId, rs: RootSystem) -> Output:
     """The chain of nodes left to right, with a D or E branch node drawn below.
 
-    Bonds come from the Cartan matrix; arrows point from long roots to short ones.
+    Bonds come from the Cartan bond list; arrows point from long roots to short ones.
     The last node is a branch node when its neighbour is not the node before it.
     """
     c = rs.cartan.entries
@@ -339,12 +339,8 @@ def _dynkin(aid: AlgebraId, rs: RootSystem) -> Output:
         label = str(aid.rank)
         lines += [" " * col + "|", " " * max(0, col - (len(label) - 1) // 2) + label]
     # (node, node, bond multiplicity) with 1-based labels
-    edges = [
-        [i + 1, j + 1, c[i][j] * c[j][i]]
-        for i in range(rs.rank)
-        for j in range(i + 1, rs.rank)
-        if c[i][j] != 0
-    ]
+    bonds = enumerate(rs.cartan.bonds)
+    edges = [[i + 1, j + 1, v * c[j][i]] for i, row in bonds for j, v in row if i < j]
     data = {"algebra": str(aid), "ascii": lines, "edges": edges}
     return Output(data, ["node_a", "node_b", "bond"], edges, lines)
 

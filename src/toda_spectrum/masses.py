@@ -18,10 +18,14 @@ same spectrum is carried by an exact rational matrix - the mark-weighted
 coefficient outer-product sum times the Gram matrix - so the characteristic
 polynomial can be computed with no floating point at all.
 
-For simply-laced algebras the two routes agree node by node; for B, C, F and G
-both spectra are reported without asserting agreement. This module measures
-the agreement (``mass_ratio_spread``) and judges nothing: the simply-laced
-verdict and the E8 identity checks live in :mod:`toda_spectrum.verify`.
+Both routes list every spectrum's masses in ascending order, one rule for
+every algebra. The Perron components stay indexed by Dynkin node; the
+paper's node-labelled identities are read from them by ``toda verify
+e8-paper``. For simply-laced algebras the two routes agree index by index;
+for B, C, F and G both spectra are reported without asserting agreement.
+This module measures the agreement (``mass_ratio_spread``) and judges
+nothing: the simply-laced verdict and the identity checks live in
+:mod:`toda_spectrum.verify`.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from .root_systems import (
     root_system,
 )
 from .spectral import eigenvalues_from_bonds, perron_vector
-
-E8 = AlgebraId("E", 8)
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -67,10 +69,10 @@ class NormalizationInfo:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Particle masses for one algebra, one method.
+    """Particle masses for one algebra, one method, in ascending order.
 
-    For E8 the index i corresponds to particle (Dynkin node) i+1; for every
-    other algebra masses are listed in ascending order.
+    Index i is particle i+1 for every algebra. Node labels are not kept here:
+    ``verify e8-paper`` reads them from :func:`perron_components`.
     """
 
     algebra: AlgebraId
@@ -88,6 +90,8 @@ class Spectrum:
                 raise ValueError("masses must be finite and strictly positive")
             if not abs(sq - m * m) <= 1e-12 * sq < math.inf:
                 raise ValueError("mass_squares must be the squares of masses")
+        if any(a > b for a, b in zip(self.masses, self.masses[1:])):
+            raise ValueError("masses must be in ascending order")
 
     def rescaled(self, kind: str) -> "Spectrum":
         """A copy scaled per ``kind``: absolute | max | first | unit."""
@@ -334,20 +338,14 @@ def _mass_scale(aid: AlgebraId, u: tuple[float, ...]) -> float:
 
 
 def spectrum_method1(algebra: AlgebraId | str) -> Spectrum:
-    """Masses from the Perron-Frobenius route, on the absolute scale.
-
-    E8 masses are node-indexed; other algebras come out ascending.
-    """
+    """Masses from the Perron-Frobenius route, on the absolute scale, ascending."""
     aid = AlgebraId.of(algebra)
     u = perron_components(aid)
-    scale = _mass_scale(aid, u)
-    root_scale = math.sqrt(scale)
-    masses = [root_scale * x for x in u]
-    if aid != E8:
-        masses.sort()
+    root_scale = math.sqrt(_mass_scale(aid, u))
+    masses = tuple(sorted(root_scale * x for x in u))
     return Spectrum(
         algebra=aid,
-        masses=tuple(masses),
+        masses=masses,
         mass_squares=tuple(m * m for m in masses),
         method=MassMethod.PERRON_FROBENIUS,
         normalization=NormalizationInfo(
@@ -359,27 +357,16 @@ def spectrum_method1(algebra: AlgebraId | str) -> Spectrum:
 
 
 def spectrum_method2(algebra: AlgebraId | str) -> Spectrum:
-    """Masses as square roots of the mass-matrix eigenvalues, absolute scale.
+    """Masses as square roots of the mass-matrix eigenvalues, absolute scale, ascending.
 
-    E8 eigenvalues are assigned to particles by ranking against the Perron
-    components (particle j carries mass proportional to component j); other
-    algebras come out ascending.
+    No Perron component is read, so the route is independent of route one.
     """
     aid = AlgebraId.of(algebra)
-    ascending = _mass_squares(aid)
-    if aid == E8:
-        u = perron_components(aid)
-        order = sorted(range(len(u)), key=lambda i: u[i])
-        squares = [0.0] * len(u)
-        for rank_pos, node in enumerate(order):
-            squares[node] = ascending[rank_pos]
-    else:
-        squares = list(ascending)
-    masses = tuple(math.sqrt(x) for x in squares)
+    squares = _mass_squares(aid)
     return Spectrum(
         algebra=aid,
-        masses=masses,
-        mass_squares=tuple(squares),
+        masses=tuple(math.sqrt(x) for x in squares),
+        mass_squares=squares,
         method=MassMethod.MASS_MATRIX,
         normalization=NormalizationInfo(
             "absolute",

@@ -223,7 +223,7 @@ def radical_identity_suite() -> CheckReport:
     checks.append(
         check(
             "eigenvalue-closed-forms",
-            eig_res if (set(exponents) == {1, 7, 11, 13} and ordered) else 1.0,
+            eig_res if (set(exponents) == set(_E8_EXPONENT_CANDIDATES) and ordered) else 1.0,
             1e-12,
             f"printed order pairs with exponents {exponents} (middle two transposed); "
             "sorted descending the values follow exponents 1, 7, 11, 13",

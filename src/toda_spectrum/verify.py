@@ -4,8 +4,13 @@
 command lists them:
 
 - ``e8-paper``: the eleven-entry E8 identity table (characteristic
-  polynomials, Perron components, golden ratios, closed forms), whose checks
-  and reference data are defined here and nowhere else;
+  polynomials, Perron components, golden ratios, closed forms). Nine of its
+  checks are defined here, with their reference data, which label particles
+  by Dynkin node. The ``eigenvalue-closed-forms`` and
+  ``trig-closed-forms`` rows come from
+  :func:`toda_spectrum.radicals.radical_identity_suite`, and the three
+  closed-form tables from :mod:`toda_spectrum.radicals`; that suite stays
+  there because the benchmark's tracer wraps it by that name;
 - ``all-ade``: cross-method agreement for every simply-laced algebra of
   rank <= 8, each ``mass_ratio_spread`` judged against ``CONSISTENCY_TOL``,
   the one place the simply-laced verdict is defined;
@@ -21,7 +26,6 @@ from typing import Callable
 from . import classical
 from .exact_poly import RationalPolynomial, poly_divide_exact
 from .masses import (
-    E8,
     GOLDEN_RATIO,
     _mass_scale,
     adjacency_char_poly,
@@ -32,8 +36,10 @@ from .masses import (
 )
 from .radicals import MASS_CLOSED_FORMS, eval_radical, radical_identity_suite
 from .report import CheckReport, CheckResult, check, check_exact
-from .root_systems import root_system
+from .root_systems import AlgebraId, root_system
 from .spectral import recover_exponents
+
+E8 = AlgebraId("E", 8)
 
 ADJACENCY_CHARPOLY_E8 = "x^8 - 7x^6 + 14x^4 - 8x^2 + 1"
 MASS_CHARPOLY_E8 = (

@@ -15,6 +15,7 @@ from toda_spectrum.exact_poly import (
     refine_real_roots,
 )
 from toda_spectrum.masses import (
+    _mass_scale,
     mass_char_poly,
     mass_ratio_spread,
     perron_components,
@@ -29,6 +30,7 @@ from toda_spectrum.radicals import (
 from toda_spectrum.root_systems import dynkin_adjacency, root_system
 from toda_spectrum.spectral import jacobi_eigen, recover_exponents
 from toda_spectrum.verify import (
+    E8,
     E8_MASS_QUARTICS,
     E8_QUARTIC_LABELS,
     SUITES,
@@ -94,8 +96,11 @@ def test_criterion_06_product_identity_and_mass_scale():
     prod_a = u[1] * u[4] * u[6] * u[7]
     prod_b = u[0] * u[2] * u[3] * u[5]
     assert abs(prod_a - prod_b) / abs(prod_b) <= 1e-10
-    spectrum = spectrum_method1("E8")
-    fitted = spectrum.mass_squares[4] / u[4] ** 2  # node 5 component is 1
+    fitted = _mass_scale(E8, u)
+    # node 5 carries the heaviest particle, and its component is 1
+    assert max(u) == u[4]
+    heaviest = spectrum_method1("E8").mass_squares[-1]
+    assert abs(heaviest / u[4] ** 2 - fitted) / fitted <= 1e-12
     assert abs(fitted**4 * prod_a**2 - 720.0) / 720.0 <= 1e-8
     closed = closed_form_mass_scale()
     assert abs(fitted - closed) / closed <= 1e-10

@@ -25,8 +25,11 @@ def test_spectrum_e8_pf_max_reproduces_reference_components():
     result = run("spectrum", "E8", "--method", "pf", "--normalize", "max", "--format", "json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
+    assert [p["label"] for p in payload["particles"]] == list(range(1, 9))
     masses = [p["pf"]["mass"] for p in payload["particles"]]
-    reference = (0.2091, 0.4158, 0.6180, 0.8135, 1.0, 0.6728, 0.3383, 0.5028)
+    # the node-indexed reference row, listed in ascending order as the particles are
+    reference = sorted((0.2091, 0.4158, 0.6180, 0.8135, 1.0, 0.6728, 0.3383, 0.5028))
+    assert len(masses) == len(reference)
     assert all(abs(m - r) <= 5e-5 for m, r in zip(masses, reference))
     assert payload["coxeter_number"] == 30
 
@@ -50,7 +53,7 @@ def test_spectrum_flags_exactly_four_golden_pairs_for_e8():
     result = run("spectrum", "E8", "--method", "pf", "--format", "json")
     payload = json.loads(result.output)
     golden = [(r["a"], r["b"]) for r in payload["ratios"] if r["golden"]]
-    assert sorted(golden) == [(1, 7), (2, 6), (3, 5), (4, 8)]
+    assert sorted(golden) == [(1, 2), (3, 6), (4, 7), (5, 8)]
 
 
 def test_spectrum_table_marks_golden_rows():

@@ -37,6 +37,9 @@ ADE = classical.simply_laced_algebras(8)
 # 2 sqrt(3) sin(6 pi/30)/sin(pi/30)
 E8_HEAVIEST_MASS_SQUARE = 19.479362636440847
 
+# E8 Dynkin nodes in ascending order of mass: particle k sits on node E8_NODE_ORDER[k - 1]
+E8_NODE_ORDER = (1, 7, 2, 8, 3, 6, 4, 5)
+
 
 # ---------------------------------------------------------------------------
 # exact mass matrix carrier
@@ -325,11 +328,51 @@ def test_spectrum_rejects_a_mass_that_is_not_finite_and_positive(mass, square):
         Spectrum(AlgebraId("A", 1), (mass,), (square,), MassMethod.MASS_MATRIX, info)
 
 
+def test_spectrum_rejects_masses_out_of_ascending_order():
+    info = NormalizationInfo("absolute", "squared masses are mass-matrix eigenvalues", 1.0)
+    a2 = AlgebraId("A", 2)
+    assert Spectrum(a2, (1.0, 1.0), (1.0, 1.0), MassMethod.MASS_MATRIX, info)
+    assert Spectrum(a2, (1.0, 2.0), (1.0, 4.0), MassMethod.MASS_MATRIX, info)
+    with pytest.raises(ValueError, match="ascending"):
+        Spectrum(a2, (2.0, 1.0), (4.0, 1.0), MassMethod.MASS_MATRIX, info)
+
+
+@pytest.mark.parametrize(
+    "name", classical.all_algebras(10) + [f"{f}{r}" for r in (19, 31) for f in "ABCD"]
+)
+def test_both_routes_list_masses_in_ascending_order(name):
+    s1, s2 = spectrum_method1(name), spectrum_method2(name)
+    for spec in (s1, s2):
+        assert all(a <= b for a, b in zip(spec.masses, spec.masses[1:]))
+        for kind in ("absolute", "max", "first", "unit"):
+            spec.rescaled(kind)  # a rescaled copy passes the same ordering check
+    if classical.simply_laced(name[0]):
+        for a, b in zip(s1.masses, s2.masses):
+            assert abs(a - b) <= verify.CONSISTENCY_TOL * b
+
+
+def _perron_off_route_two(*args):
+    raise AssertionError("route 2 read a Perron vector")
+
+
+@pytest.mark.parametrize("name", classical.all_algebras(8))
+def test_route_two_reads_no_perron_vector(name, monkeypatch):
+    monkeypatch.setattr(masses, "perron_components", _perron_off_route_two)
+    monkeypatch.setattr(masses, "perron_vector", _perron_off_route_two)
+    fresh = functools.lru_cache(maxsize=None)(masses._mass_squares.__wrapped__)
+    monkeypatch.setattr(masses, "_mass_squares", fresh)
+    spec = spectrum_method2(name)
+    assert spec.mass_squares == fresh(AlgebraId.parse(name))
+
+
 def test_e8_heaviest_mass_square():
     s2 = spectrum_method2("E8")
-    assert abs(max(s2.mass_squares) - E8_HEAVIEST_MASS_SQUARE) <= 1e-9
+    assert s2.mass_squares[-1] == max(s2.mass_squares)
+    assert abs(s2.mass_squares[-1] - E8_HEAVIEST_MASS_SQUARE) <= 1e-9
     # node 5 carries the heaviest particle
-    assert s2.mass_squares[4] == max(s2.mass_squares)
+    u = perron_components("E8")
+    assert max(u) == u[4]
+    assert abs(masses._mass_scale(verify.E8, u) * u[4] ** 2 - E8_HEAVIEST_MASS_SQUARE) <= 1e-9
 
 
 def test_e8_spectrum_sum_and_product_match_exact_coefficients():
@@ -433,15 +476,22 @@ def test_scale_constant_term_with_720():
 
 def test_quartic_root_partition_matches_method1_labels():
     # every particle's squared mass is a root of its designated quartic, and
-    # the swapped designation fails decisively
+    # the swapped designation fails decisively; route 1 lists the particles
+    # in ascending order, so node j becomes particle E8_NODE_ORDER.index(j) + 1
+    u = perron_components("E8")
+    assert tuple(sorted(range(1, 9), key=lambda j: u[j - 1])) == E8_NODE_ORDER
+    ascending_labels = tuple(
+        tuple(sorted(E8_NODE_ORDER.index(j) + 1 for j in labels)) for labels in E8_QUARTIC_LABELS
+    )
+    assert ascending_labels == ((2, 3, 4, 8), (1, 5, 6, 7))
     s1 = spectrum_method1("E8")
-    for quartic, labels in zip(E8_MASS_QUARTICS, E8_QUARTIC_LABELS):
+    for quartic, labels in zip(E8_MASS_QUARTICS, ascending_labels):
         for label in labels:
             msq = s1.mass_squares[label - 1]
             assert abs(quartic.evaluate(msq)) / quartic.magnitude_at(msq) <= 1e-6
     swapped_residual = min(
         abs(quartic.evaluate(s1.mass_squares[label - 1]))
-        for quartic, labels in zip(E8_MASS_QUARTICS, reversed(E8_QUARTIC_LABELS))
+        for quartic, labels in zip(E8_MASS_QUARTICS, reversed(ascending_labels))
         for label in labels
     )
     assert swapped_residual > 100.0
@@ -452,7 +502,7 @@ def test_perron_times_scale_squares_are_roots_of_their_quartic():
     # it is a root of the quartic E8_QUARTIC_LABELS assigns it, and of neither
     # quartic under the swapped assignment
     u = perron_components("E8")
-    scale = masses._mass_scale(masses.E8, u)
+    scale = masses._mass_scale(verify.E8, u)
 
     def residuals(assignment):
         return [
