@@ -14,7 +14,6 @@ little ANSI styling the verify tables use on terminals.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -37,6 +36,7 @@ from .masses import (
     spectrum_method1,
     spectrum_method2,
 )
+from .record import asdict
 from .root_systems import AlgebraId, InvalidAlgebraError, RootSystem, root_system
 from .spectral import recover_exponents
 
@@ -177,7 +177,7 @@ def spectrum(algebra: str, method: str, normalize: str, fmt: str, tolerance: flo
         "algebra": str(aid),
         "coxeter_number": h,
         "methods": names,
-        "normalization": dataclasses.asdict(primary.normalization),
+        "normalization": asdict(primary.normalization),
         "particles": [
             {
                 "label": k,
@@ -269,7 +269,7 @@ def verify(scope: str, fmt: str, tolerance: float | None) -> None:
             {
                 "scope": scope,
                 "all_passed": report.all_passed,
-                "checks": [dataclasses.asdict(c) for c in report],
+                "checks": [asdict(c) for c in report],
             },
             ["name", "residual", "tolerance", "passed"],
             [[c.name, f"{c.residual:.3e}", f"{c.tolerance:.3e}", c.passed] for c in report],

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
+
+from .record import Record
 
 RationalLike = Fraction | int
 
@@ -24,8 +25,7 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(Record):
     """Univariate polynomial with exact rational coefficients, ascending degree."""
 
     coefficients: tuple[Fraction, ...]
@@ -125,8 +125,7 @@ def _coeff_str(c: Fraction) -> str:
     return f"({c.numerator}/{c.denominator})"
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Record):
     """Square matrix of exact rationals."""
 
     entries: tuple[tuple[Fraction, ...], ...]

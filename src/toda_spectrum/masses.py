@@ -33,10 +33,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_poly import RationalMatrix, RationalPolynomial, char_poly_exact
+from .record import Record
 from .root_systems import (
     AlgebraId,
     RootSystem,
@@ -58,8 +58,7 @@ class ConsistencyError(RuntimeError):
     """The mass matrix broke a property its spectrum must have (see ``_mass_squares``)."""
 
 
-@dataclass(frozen=True)
-class NormalizationInfo:
+class NormalizationInfo(Record):
     """How a spectrum is scaled: which quantity was fixed, and the factor applied."""
 
     kind: str
@@ -67,8 +66,7 @@ class NormalizationInfo:
     scale: float
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Particle masses for one algebra, one method, in ascending order.
 
     Index i is particle i+1 for every algebra. Node labels are not kept here:
@@ -185,15 +183,23 @@ Bonds = tuple[list[float], list[tuple[int, int, float]]]
 def _gram_entries(rs: RootSystem) -> list[tuple[int, int, float]]:
     """``(i, j, G_ij)`` for every nonzero Gram entry with i <= j, the diagonal included.
 
-    Read off the Cartan bonds, so a call converts O(n + bonds) ``Fraction``
-    entries to float rather than n^2.
+    Read off the Cartan bonds, so a call reads O(n + bonds) ``Fraction``
+    entries rather than n^2. A root system shares its few distinct Gram
+    values (:func:`generate_roots`), so each distinct object goes through the
+    pure-Python ``Fraction.__float__`` once, not once per entry.
     """
-    return [
-        (i, j, float(rs.gram[i][j]))
-        for i, row in enumerate(rs.cartan.bonds)
-        for j, _ in row
-        if i <= j
-    ]
+    as_float: dict[int, float] = {}  # by id: the shared Fraction objects
+    entries = []
+    for i, row in enumerate(rs.cartan.bonds):
+        gram_row = rs.gram[i]
+        for j, _ in row:
+            if i <= j:
+                x = gram_row[j]
+                g = as_float.get(id(x))
+                if g is None:
+                    g = as_float[id(x)] = float(x)
+                entries.append((i, j, g))
+    return entries
 
 
 def _affine_bonds(rs: RootSystem) -> Bonds:
@@ -236,8 +242,13 @@ def _adjacency_bonds(rs: RootSystem) -> Bonds:
 
     Its diagonal is zero, and each bond is -G_ij / sqrt(d_i d_j).
     """
-    d = [math.sqrt(float(x)) for x in rs.symmetrizers]
-    bonds = [(i, j, -g / (d[i] * d[j])) for i, j, g in _gram_entries(rs) if i < j]
+    entries = _gram_entries(rs)
+    # sqrt(d_i), with d_i = G_ii / 2: halving a float is exact, so g / 2.0 is float(d_i)
+    d = [0.0] * rs.rank
+    for i, j, g in entries:
+        if i == j:
+            d[i] = math.sqrt(g / 2.0)
+    bonds = [(i, j, -g / (d[i] * d[j])) for i, j, g in entries if i < j]
     return [0.0] * rs.rank, bonds
 
 
@@ -265,8 +276,7 @@ def adjacency_symmetrized(rs: RootSystem) -> list[list[float]]:
     return _dense(*_adjacency_bonds(rs))
 
 
-@dataclass(frozen=True)
-class AdjacencyEigenvalues:
+class AdjacencyEigenvalues(Record):
     """Eigenvalues of the Dynkin adjacency matrix 2I - C, in descending order."""
 
     eigenvalues: tuple[float, ...]

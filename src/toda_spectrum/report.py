@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One named check: a residual measured against a tolerance, plus free-form detail."""
 
     name: str
@@ -20,8 +19,7 @@ class ExactCheckResult(CheckResult):
     """A check on an exact condition, whose verdict no tolerance can change."""
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     checks: tuple[CheckResult, ...]
 
     @property

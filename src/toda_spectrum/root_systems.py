@@ -31,8 +31,9 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 
 class InvalidAlgebraError(ValueError):
@@ -54,8 +55,7 @@ RANK_RULES_TEXT = "A>=1, B>=2, C>=2, D>=3, E in {6,7,8}, F=4, G=2"
 _NAME_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$", re.ASCII)
 
 
-@dataclass(frozen=True, order=True)
-class AlgebraId:
+class AlgebraId(Record, order=True):
     """A simple Lie algebra: family letter plus rank."""
 
     family: str
@@ -105,8 +105,7 @@ class AlgebraId:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(Record):
     """Integer Cartan matrix of finite type.
 
     Entry ``(i, j)`` is twice the inner product of simple roots i and j divided
@@ -267,8 +266,7 @@ def dynkin_adjacency(cartan: CartanMatrix) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """A root system given by its Cartan matrix, with marks and Coxeter number.
 
     ``symmetrizers[i]`` is half the squared length of simple root i;

@@ -23,8 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+
+from .record import Record
 
 Matrix = Sequence[Sequence[float]]
 
@@ -39,8 +40,7 @@ _MAX_QL_ITER = 30  # per eigenvalue, as in EISPACK tql1
 _MAX_POWER_ITER = 200_000
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(Record):
     """Eigenvalues in descending order with orthonormal eigenvector columns."""
 
     eigenvalues: tuple[float, ...]
@@ -50,8 +50,7 @@ class EigenDecomposition:
         return tuple(row[k] for row in self.eigenvectors)
 
 
-@dataclass(frozen=True)
-class PerronVector:
+class PerronVector(Record):
     """Strictly positive left eigenvector for the top eigenvalue of a nonnegative matrix."""
 
     components: tuple[float, ...]

@@ -21,7 +21,7 @@ command lists them:
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from . import classical
 from .exact_poly import RationalPolynomial, poly_divide_exact
