@@ -42,9 +42,9 @@ def eval_radical(text: str) -> float:
     expr := term (("+" | "-") term)*,  term := factor (("*" | "/") factor)*,
     factor := "-" factor | "(" expr ")" | "sqrt" "(" expr ")" | integer.
 
-    Raises ValueError on bad syntax or on division by a value that holds a
-    square root, and NegativeRadicandError, naming the radicand's text, when
-    a square root's argument is negative.
+    Raises ValueError on bad syntax, on division by zero or by a value that
+    holds a square root, and NegativeRadicandError, naming the radicand's
+    text, when a square root's argument is negative.
     """
     # each match eats the whitespace before a token, so drop what trails the last
     text = text.rstrip()
@@ -85,10 +85,12 @@ def eval_radical(text: str) -> float:
             rhs, rhs_rational = factor()
             if op == "*":
                 value = _CONTEXT.multiply(value, rhs)
-            elif rhs_rational:
-                value = _CONTEXT.divide(value, rhs)
-            else:
+            elif not rhs_rational:
                 raise ValueError("division is only supported by rational values")
+            elif not rhs:
+                raise ValueError("division by zero")
+            else:
+                value = _CONTEXT.divide(value, rhs)
             rational = rational and rhs_rational
         return value, rational
 

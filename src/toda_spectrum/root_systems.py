@@ -37,7 +37,11 @@ from .record import Record
 
 
 class InvalidAlgebraError(ValueError):
-    """Raised for unknown families, out-of-range ranks, or a Cartan matrix not of finite type."""
+    """Raised for unknown families, out-of-range ranks, or a rejected Cartan matrix.
+
+    A Cartan matrix is rejected when it is malformed (ragged, or with a
+    non-integer or out-of-range entry) or not of finite type.
+    """
 
 
 _RANK_RANGES = {
@@ -120,60 +124,37 @@ class CartanMatrix(Record):
     (numerator, positive denominator) in lowest terms, the values a
     ``Fraction`` elimination would reach.
 
-    Each row is read once, at C speed, into :attr:`bonds`, and the shape,
-    diagonal, entry and zero-pattern checks take O(n + bonds) Python-level
-    work. On rows of integers they raise the error that a scan of all n^2
-    entries in row-major order meets first: that scan can fail only at a
-    bond, at a zero whose transpose is a bond, or at a later row too short
-    to have column i, so one pass over the bonds and the row lengths finds
-    the first failing column of each row.
+    The checks run in this order, and the first that fails raises
+    :class:`InvalidAlgebraError`: every row has n entries; every diagonal
+    entry equals 2; each nonzero entry, row by row, is an ``int``, and off
+    the diagonal one of -1, -2, -3; the transpose of every nonzero entry is
+    nonzero; the Dynkin diagram is a connected tree (:attr:`tree_order`); the
+    pivots are positive. Each row is read once, at C speed, into
+    :attr:`bonds`, and every check after the diagonal costs O(n + bonds)
+    Python-level work.
     """
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows, bonds = self.entries, self.bonds
+        rows = self.entries
         n = len(rows)
-        # first[i]: the first column where the scan of row i fails, if one of
-        # its bonds or their transposes shows it: a value out of range, a
-        # nonzero whose transpose is zero or missing, or a zero whose
-        # transpose is not (found from the later row that holds the nonzero)
-        first: dict[int, int] = {}
-        for i, row in enumerate(bonds):
+        if any(len(row) != n for row in rows):
+            raise InvalidAlgebraError("Cartan matrix must be square")
+        if any(row[i] != 2 for i, row in enumerate(rows)):
+            raise InvalidAlgebraError("Cartan diagonal entries must equal 2")
+        for i, row in enumerate(self.bonds):
             for j, v in row:
-                if j >= n:
-                    break  # the row is too long, and fails as not square first
-                if not (i < len(rows[j]) and rows[j][i]):
-                    first.setdefault(i, j)
-                    if j < i and first.get(j, n) > i:
-                        first[j] = i
-                elif i != j and v not in (0, -1, -2, -3):
-                    first.setdefault(i, j)
-        # short[k]: the rows of length k < n; the scan of row i reads column i
-        # of every later row, and fails at the first one of length <= i
-        short: dict[int, list[int]] = {}
-        for r, row in enumerate(rows):
-            if len(row) < n:
-                short.setdefault(len(row), []).append(r)
-        first_short = n
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise InvalidAlgebraError("Cartan matrix must be square")
-            if row[i] != 2:
-                raise InvalidAlgebraError("Cartan diagonal entries must equal 2")
-            if i in short:
-                first_short = min(first_short, *short[i])
-            # every short row lies after row i, or row i would not be reached;
-            # the scan passes every column of the row before j, and fails at j
-            j = min(first.get(i, n), first_short)
-            if j < n:
-                v = row[j]
-                if i != j and v not in (0, -1, -2, -3):
+                if not isinstance(v, int):
+                    raise InvalidAlgebraError(
+                        f"Cartan entry {v!r} at ({i},{j}) is not an integer"
+                    )
+                if i != j and v not in (-1, -2, -3):
                     raise InvalidAlgebraError(
                         f"off-diagonal Cartan entry {v} at ({i},{j}) not in {{0,-1,-2,-3}}"
                     )
-                if (v == 0) != (rows[j][i] == 0):
-                    raise InvalidAlgebraError("Cartan zero pattern must be symmetric")
+        if not all(rows[j][i] for i, row in enumerate(self.bonds) for j, _ in row):
+            raise InvalidAlgebraError("Cartan zero pattern must be symmetric")
         # leaf-first elimination: on a tree it fills nothing, and each pivot
         # num[i] / den[i] is final once the node's children are eliminated
         num, den = [2] * n, [1] * n
@@ -299,9 +280,9 @@ class RootSystem(Record):
         """
         n = self.rank
         simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        cols = [
-            [(j, row[i]) for j, row in enumerate(self.cartan.entries) if row[i]] for i in range(n)
-        ]
+        # the zero pattern is symmetric, so column i is nonzero at the bonds of row i
+        entries = self.cartan.entries
+        cols = [[(j, entries[j][i]) for j, _ in row] for i, row in enumerate(self.cartan.bonds)]
         seen: set[tuple[int, ...]] = set(simple)
         frontier = list(simple)
         while frontier:

@@ -2,10 +2,11 @@
 
 ``CartanMatrix`` checks its entries on the bond list, and ``generate_roots``
 shares one ``Fraction`` per distinct Gram value. The functions here do the
-same work the plain way: validation visits all n^2 entries in row-major
-order, and the Gram build makes one ``Fraction`` product per bond. The tests
-hold the library to them: the same exception and message for every input,
-and equal fields, of the same types, for every accepted one.
+same work the plain way: validation runs the same checks in the same order,
+each over all n^2 entries in row-major order, and the Gram build makes one
+``Fraction`` product per bond. The tests hold the library to them: the same
+exception and message for every input, and equal fields, of the same types,
+for every accepted one.
 """
 
 from __future__ import annotations
@@ -68,19 +69,25 @@ def dense_tree_order(entries):
 
 
 def dense_validate(entries) -> None:
-    """Raise what ``CartanMatrix(entries)`` must raise, scanning every entry."""
+    """Raise what ``CartanMatrix(entries)`` must raise, each check scanning every entry."""
     n = len(entries)
-    for i, row in enumerate(entries):
-        if len(row) != n:
-            raise InvalidAlgebraError("Cartan matrix must be square")
-        if row[i] != 2:
+    if any(len(row) != n for row in entries):
+        raise InvalidAlgebraError("Cartan matrix must be square")
+    for i in range(n):
+        if entries[i][i] != 2:
             raise InvalidAlgebraError("Cartan diagonal entries must equal 2")
-        for j, v in enumerate(row):
+    for i in range(n):
+        for j in range(n):
+            v = entries[i][j]
+            if v != 0 and not isinstance(v, int):
+                raise InvalidAlgebraError(f"Cartan entry {v!r} at ({i},{j}) is not an integer")
             if i != j and v not in (0, -1, -2, -3):
                 raise InvalidAlgebraError(
                     f"off-diagonal Cartan entry {v} at ({i},{j}) not in {{0,-1,-2,-3}}"
                 )
-            if (v == 0) != (entries[j][i] == 0):
+    for i in range(n):
+        for j in range(n):
+            if (entries[i][j] == 0) != (entries[j][i] == 0):
                 raise InvalidAlgebraError("Cartan zero pattern must be symmetric")
     num, den = [2] * n, [1] * n
     for i, p in reversed(dense_tree_order(entries)):

@@ -181,6 +181,13 @@ def test_parse_rejects_bad_syntax(bad):
         eval_radical(bad)
 
 
+@pytest.mark.parametrize("text", ["1/0", "1/(2-2)", "0/0"])
+def test_division_by_zero_is_a_value_error(text):
+    with pytest.raises(ValueError, match="^division by zero$") as err:
+        eval_radical(text)
+    assert err.type is ValueError  # not decimal's DivisionByZero or InvalidOperation
+
+
 # ---------------------------------------------------------------------------
 # the identity suite
 # ---------------------------------------------------------------------------

@@ -282,8 +282,9 @@ def _outcome(build, entries):
 def small_integer_matrices(draw):
     """Up to 6 rows of small integers: random, or a finite-type diagram with a few changes.
 
-    A row is sometimes a different length, so shape errors, and a scan that
-    indexes past the end of a shorter row, are drawn as well.
+    An entry is sometimes a ``float`` or a ``Fraction`` of the same value, and
+    a row is sometimes a different length, so type and shape errors are drawn
+    as well.
     """
     if draw(st.booleans()):
         rows = [list(row) for row in draw(finite_type_diagrams())]
@@ -296,6 +297,9 @@ def small_integer_matrices(draw):
         value = st.sampled_from([0, 0, 0, -1, -1, 2, -2, -3, -4, 1])
         rows = [[2 if i == j else draw(value) for j in range(n)] for i in range(n)]
     if rows and draw(st.integers(0, 7)) == 0:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows[i][j] = draw(st.sampled_from([float, Fraction]))(rows[i][j])
+    if rows and draw(st.integers(0, 7)) == 0:
         i = draw(st.integers(0, len(rows) - 1))
         rows[i] = (rows[i] + [0])[: draw(st.integers(0, len(rows) + 1))]
     return tuple(map(tuple, rows))
@@ -307,21 +311,44 @@ def test_bond_list_validation_raises_what_the_dense_scan_raises(entries):
     assert _outcome(CartanMatrix, entries) == _outcome(dense_validate, entries)
 
 
+@settings(max_examples=600)
+@given(small_integer_matrices())
+def test_every_rejection_is_an_invalid_algebra_error(entries):
+    outcome = _outcome(CartanMatrix, entries)
+    assert outcome is None or outcome[0] is InvalidAlgebraError
+
+
 @pytest.mark.parametrize(
-    "entries",
+    "entries, message",
     [
-        ((2, -1), ()),  # the scan of row 0 reads column 0 of the empty row 1
-        ((2, 0), ()),  # the zero at (0,1) has no transpose to compare with
-        ((2, 0, -1), (0, 2), (-1, 0, 2)),  # row 1 is short
-        ((2, 0, 0), (-1, 2, 0), (0, -5, 2)),  # asymmetric zero at (0,1) before the bad -5
-        ((2, 0, -7), (-1, 2, 0), (-1, 0, 2)),  # the gap at (0,1) comes before the -7 at (0,2)
-        ((2, -1, 0), (-1, 2, -1), (0, 0, 2)),  # the bond (1,2) has a zero transpose
+        # ragged matrices fail the first check, before any entry is read
+        (((2, -1), ()), "Cartan matrix must be square"),
+        (((2, 0), ()), "Cartan matrix must be square"),
+        (((2, 0, -1), (0, 2), (-1, 0, 2)), "Cartan matrix must be square"),
+        # entry values are checked before the zero pattern, so the -5 at (2,1)
+        # is named, not the zero at (0,1) that faces the bond at (1,0)
+        (
+            ((2, 0, 0), (-1, 2, 0), (0, -5, 2)),
+            "off-diagonal Cartan entry -5 at (2,1) not in {0,-1,-2,-3}",
+        ),
+        (
+            ((2, 0, -7), (-1, 2, 0), (-1, 0, 2)),
+            "off-diagonal Cartan entry -7 at (0,2) not in {0,-1,-2,-3}",
+        ),
+        # every value is allowed, but the bond (1,2) has a zero transpose
+        (((2, -1, 0), (-1, 2, -1), (0, 0, 2)), "Cartan zero pattern must be symmetric"),
+        # a float or Fraction entry is not an integer, however equal its value
+        (((2.0, -1), (-1, 2)), "Cartan entry 2.0 at (0,0) is not an integer"),
+        (((2, -1.0), (-1, 2)), "Cartan entry -1.0 at (0,1) is not an integer"),
+        (((2, -1), (Fraction(-1), 2)), "Cartan entry Fraction(-1, 1) at (1,0) is not an integer"),
+        # bool is an int, so True is checked by its value
+        (((True, -1), (-1, 2)), "Cartan diagonal entries must equal 2"),
+        (((2, True), (True, 2)), "off-diagonal Cartan entry True at (0,1) not in {0,-1,-2,-3}"),
     ],
 )
-def test_bond_list_validation_on_malformed_matrices(entries):
-    want = _outcome(dense_validate, entries)
-    assert want is not None
-    assert _outcome(CartanMatrix, entries) == want
+def test_bond_list_validation_on_malformed_matrices(entries, message):
+    assert _outcome(dense_validate, entries) == (InvalidAlgebraError, message)
+    assert _outcome(CartanMatrix, entries) == (InvalidAlgebraError, message)
 
 
 def _typed(x):
