@@ -48,7 +48,6 @@ from .spectral import (
     jacobi_eigen,
     perron_vector,
     recover_exponents,
-    symmetric_eigenvalues,
 )
 from .verify import E8
 
@@ -93,5 +92,4 @@ __all__ = [
     "root_system",
     "spectrum_method1",
     "spectrum_method2",
-    "symmetric_eigenvalues",
 ]

@@ -162,7 +162,7 @@ def mass_matrix_embedded(algebra: AlgebraId | str) -> list[list[float]]:
 
     A dense sum of outer products over a Cholesky embedding of the roots. No
     algebra request builds it; it is the independent reference the tests
-    hold :func:`_affine_mass_matrix` to.
+    hold :func:`_affine_bonds` to.
     """
     rs = root_system(algebra)
     n = rs.rank
@@ -250,30 +250,6 @@ def _adjacency_bonds(rs: RootSystem) -> Bonds:
             d[i] = math.sqrt(g / 2.0)
     bonds = [(i, j, -g / (d[i] * d[j])) for i, j, g in entries if i < j]
     return [0.0] * rs.rank, bonds
-
-
-def _dense(diagonal: list[float], bonds: list[tuple[int, int, float]]) -> list[list[float]]:
-    """The symmetric matrix with this diagonal and these bonds, every other entry 0."""
-    n = len(diagonal)
-    m = [[0.0] * n for _ in range(n)]
-    for i, x in enumerate(diagonal):
-        m[i][i] = x
-    for i, j, x in bonds:
-        m[i][j] = m[j][i] = x
-    return m
-
-
-def _affine_mass_matrix(rs: RootSystem) -> list[list[float]]:
-    """The dense view of :func:`_affine_bonds`; no algebra request builds it."""
-    return _dense(*_affine_bonds(rs))
-
-
-def adjacency_symmetrized(rs: RootSystem) -> list[list[float]]:
-    """Symmetric matrix similar to 2I - C (entrywise -G_ij / sqrt(d_i d_j) off the diagonal).
-
-    The dense view of the bonds the adjacency eigenvalues are computed from.
-    """
-    return _dense(*_adjacency_bonds(rs))
 
 
 class AdjacencyEigenvalues(Record):

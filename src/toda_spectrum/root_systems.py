@@ -132,6 +132,10 @@ class CartanMatrix(Record):
     pivots are positive. Each row is read once, at C speed, into
     :attr:`bonds`, and every check after the diagonal costs O(n + bonds)
     Python-level work.
+
+    Only nonzero entries are type-checked, so :attr:`entries` keeps its zeros
+    as given (a ``0.0`` zero stays), and nothing derived reads one: the bonds
+    drop them, and all else is built from the bonds over zeros of its own.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -240,11 +244,15 @@ def cartan_matrix(algebra: AlgebraId) -> CartanMatrix:
 
 
 def dynkin_adjacency(cartan: CartanMatrix) -> tuple[tuple[int, ...], ...]:
-    """The matrix 2I - C: zero diagonal, nonnegative off-diagonal."""
-    n = cartan.rank
-    return tuple(
-        tuple((2 if i == j else 0) - cartan.entries[i][j] for j in range(n)) for i in range(n)
-    )
+    """The matrix 2I - C: zero diagonal, nonnegative off-diagonal, every entry an ``int``.
+
+    Set at :attr:`CartanMatrix.bonds` over C-speed ``int`` zero rows, never reading a zero.
+    """
+    rows = [[0] * cartan.rank for _ in cartan.bonds]
+    for i, row in enumerate(cartan.bonds):
+        for j, v in row:
+            rows[i][j] = -v if j != i else 0
+    return tuple(map(tuple, rows))
 
 
 class RootSystem(Record):

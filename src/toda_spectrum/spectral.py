@@ -6,16 +6,14 @@ Every algebra request enters ``eigenvalues_from_bonds`` with the diagonal
 and the bond list of its Dynkin matrix, and gets eigenvalues only. Reverse
 Cuthill-McKee turns a Dynkin matrix, affine or not, into a band of width
 b <= 3, Givens rotations reduce the band to tridiagonal form in O(n^2 b),
-implicit QL takes O(n^2), and the rest is O(n + bonds). The dense
-``symmetric_eigenvalues`` hands its diagonal and nonzero entries to the same
-solver; dense input is b = n - 1, at O(n^3). Each solve is checked against
-sum(lambda) = tr M and sum(lambda^2) = ||M||_F^2. No algebra request runs the
-cyclic Jacobi solver ``jacobi_eigen`` (O(n^3) per sweep, with eigenvectors):
-it is the tests' eigenvector reference, and the benchmark's tracer wraps it
-by name. ``perron_vector`` takes finite, nonnegative, irreducible input,
-irreducibility decided exactly from the nonzero pattern; its power-iteration
-step visits only the nonzero entries of each column, O(n + nonzeros), and
-non-convergence raises ``RuntimeError``.
+implicit QL takes O(n^2), and the rest is O(n + bonds). Each solve is
+checked against sum(lambda) = tr M and sum(lambda^2) = ||M||_F^2. No algebra
+request runs the cyclic Jacobi solver ``jacobi_eigen`` (O(n^3) per sweep,
+with eigenvectors): it is the tests' eigenvector reference, and the
+benchmark's tracer wraps it by name. ``perron_vector`` takes finite,
+nonnegative, irreducible input, irreducibility decided exactly from the
+nonzero pattern; its power-iteration step visits only the nonzero entries of
+each column, O(n + nonzeros), and non-convergence raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -91,22 +89,6 @@ def _symmetric_copy(m: Matrix) -> list[list[float]]:
             if a[i][j] != a[j][i]:
                 a[i][j] = a[j][i] = 0.5 * (a[i][j] + a[j][i])
     return a
-
-
-def symmetric_eigenvalues(m: Matrix) -> tuple[float, ...]:
-    """Eigenvalues of a dense symmetric matrix in descending order, without eigenvectors.
-
-    Raises ``ValueError`` unless ``m`` is square, finite and symmetric, then
-    passes its diagonal and its nonzero entries above the diagonal to
-    :func:`eigenvalues_from_bonds`, which raises ``RuntimeError`` as described
-    there. The copy and the scan visit all n^2 entries, and the band that
-    dense input leaves is b = n - 1, so the reduction costs O(n^3); no algebra
-    request comes this way.
-    """
-    a = _symmetric_copy(m)
-    n = len(a)
-    bonds = [(i, j, row[j]) for i, row in enumerate(a) for j in range(i + 1, n) if row[j]]
-    return eigenvalues_from_bonds([a[i][i] for i in range(n)], bonds)
 
 
 def eigenvalues_from_bonds(

@@ -1,4 +1,4 @@
-"""Dense reference for ``CartanMatrix`` validation and the ``generate_roots`` build.
+"""Dense references: ``CartanMatrix`` validation, the ``generate_roots`` build, and dense views.
 
 ``CartanMatrix`` checks its entries on the bond list, and ``generate_roots``
 shares one ``Fraction`` per distinct Gram value. The functions here do the
@@ -7,6 +7,13 @@ each over all n^2 entries in row-major order, and the Gram build makes one
 ``Fraction`` product per bond. The tests hold the library to them: the same
 exception and message for every input, and equal fields, of the same types,
 for every accepted one.
+
+The library computes every spectrum from a diagonal and a bond list. Two
+helpers give the tests the dense n x n view of that input: ``dense`` fills
+the symmetric matrix of a diagonal and a bond list, as
+``dense(*masses._affine_bonds(rs))`` or ``dense(*masses._adjacency_bonds(rs))``,
+and ``dense_eigenvalues`` takes any square, finite, symmetric matrix to the
+library's solver, every nonzero entry above the diagonal as a bond.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import math
 from fractions import Fraction
 
 from toda_spectrum.root_systems import InvalidAlgebraError, _raise_to_dominant
+from toda_spectrum.spectral import _symmetric_copy, eigenvalues_from_bonds
 
 
 def dense_cartan_entries(family: str, l: int):
@@ -126,3 +134,28 @@ def dense_root_system(entries) -> dict:
         "marks": marks,
         "coxeter_number": 1 + sum(marks),
     }
+
+
+def dense(diagonal, bonds):
+    """The symmetric matrix with this diagonal and these bonds, every other entry 0.0."""
+    n = len(diagonal)
+    m = [[0.0] * n for _ in range(n)]
+    for i, x in enumerate(diagonal):
+        m[i][i] = x
+    for i, j, x in bonds:
+        m[i][j] = m[j][i] = x
+    return m
+
+
+def dense_eigenvalues(m):
+    """Eigenvalues, descending, of a dense symmetric matrix, by the library's bond-list solver.
+
+    ``_symmetric_copy`` raises ``ValueError`` unless ``m`` is square, finite
+    and symmetric; its diagonal and its nonzero entries above the diagonal
+    then go to ``eigenvalues_from_bonds``. Dense input is a band of width
+    n - 1, so the reduction costs O(n^3).
+    """
+    a = _symmetric_copy(m)
+    n = len(a)
+    bonds = [(i, j, row[j]) for i, row in enumerate(a) for j in range(i + 1, n) if row[j]]
+    return eigenvalues_from_bonds([a[i][i] for i in range(n)], bonds)

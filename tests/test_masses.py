@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_reference import dense, dense_eigenvalues
 from toda_spectrum import classical, masses, root_systems, spectral, verify
 from toda_spectrum.masses import (
     GOLDEN_RATIO,
@@ -13,7 +14,6 @@ from toda_spectrum.masses import (
     NormalizationInfo,
     Spectrum,
     adjacency_eigen,
-    adjacency_symmetrized,
     mass_char_poly,
     mass_matrix,
     mass_matrix_embedded,
@@ -23,7 +23,7 @@ from toda_spectrum.masses import (
     spectrum_method2,
 )
 from toda_spectrum.root_systems import AlgebraId, root_system
-from toda_spectrum.spectral import eigenvalues_from_bonds, jacobi_eigen, symmetric_eigenvalues
+from toda_spectrum.spectral import eigenvalues_from_bonds, jacobi_eigen
 from toda_spectrum.verify import (
     E8_GOLDEN_PAIRS,
     E8_MASS_QUARTICS,
@@ -150,12 +150,12 @@ def test_affine_mass_matrix_has_one_null_vector(name):
     # M (1, sqrt(marks)) = 0, because the affine family weighted by (1, marks)
     # sums to zero; every entry of M is at most 12 in size
     rs = root_system(name)
-    m = masses._affine_mass_matrix(rs)
+    m = dense(*masses._affine_bonds(rs))
     null = [1.0] + [math.sqrt(k) for k in rs.marks]
     assert max(abs(x) for row in m for x in row) <= 12.0
     for row in m:
         assert abs(math.fsum(x * y for x, y in zip(row, null))) <= 1e-14
-    eigenvalues = symmetric_eigenvalues(m)
+    eigenvalues = dense_eigenvalues(m)
     assert sum(abs(x) <= NULL_EIGENVALUE_TOL * eigenvalues[0] for x in eigenvalues) == 1
     assert sorted(eigenvalues)[1] > 1e-3 * eigenvalues[0]  # the next one is far from rounding
 
@@ -175,7 +175,7 @@ def test_mass_squares_reject_a_wrong_null_space(eigenvalues, message, monkeypatc
 
 
 def _dense_adjacency(rs):
-    """The n^2 formula adjacency_symmetrized replaced: every Gram entry converted."""
+    """The n^2 formula the adjacency bonds replaced: every Gram entry converted."""
     d = [math.sqrt(float(x)) for x in rs.symmetrizers]
     n = rs.rank
     return [
@@ -189,7 +189,7 @@ def test_sparse_adjacency_is_bit_identical_to_dense(name):
     # float == is bit identity here: no entry is NaN, and a missing bond, -0.0
     # in the dense formula, is now 0.0, which compares equal
     rs = root_system(name)
-    assert adjacency_symmetrized(rs) == _dense_adjacency(rs)
+    assert dense(*masses._adjacency_bonds(rs)) == _dense_adjacency(rs)
 
 
 # every algebra of rank <= 10, and A-D at ranks 19-31 and 64
@@ -198,28 +198,14 @@ BOND_LADDER = classical.all_algebras(10) + [
 ]
 
 
-def _filled(diagonal, bonds):
-    """The dense matrix of a diagonal and a bond list, written out entry by entry."""
-    n = len(diagonal)
-    entries = {(i, j): x for i, j, x in bonds} | {(j, i): x for i, j, x in bonds}
-    return [
-        [diagonal[i] if i == j else entries.get((i, j), 0.0) for j in range(n)] for i in range(n)
-    ]
-
-
 @pytest.mark.parametrize("name", BOND_LADDER)
 def test_bond_list_path_is_bit_identical_to_the_dense_solver(name):
     # float == is bit identity here: no entry or eigenvalue is NaN
     rs = root_system(name)
-    for bonds, dense in (
-        (masses._affine_bonds(rs), masses._affine_mass_matrix(rs)),
-        (masses._adjacency_bonds(rs), adjacency_symmetrized(rs)),
-    ):
-        diagonal, off = bonds
+    for diagonal, off in (masses._affine_bonds(rs), masses._adjacency_bonds(rs)):
         assert all(i < j for i, j, _ in off)
         assert len({(i, j) for i, j, _ in off}) == len(off)
-        assert dense == _filled(diagonal, off)
-        want = symmetric_eigenvalues(dense)
+        want = dense_eigenvalues(dense(diagonal, off))
         assert eigenvalues_from_bonds(diagonal, off) == want
         assert eigenvalues_from_bonds(diagonal, off[::-1]) == want
 

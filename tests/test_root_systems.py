@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toda_spectrum as ts
-from dense_reference import dense_cartan_entries, dense_root_system, dense_validate
+from dense_reference import (
+    dense,
+    dense_cartan_entries,
+    dense_eigenvalues,
+    dense_root_system,
+    dense_validate,
+)
 from toda_spectrum import classical, masses, root_systems
+from toda_spectrum.exact_poly import RationalMatrix, char_poly_exact
 from toda_spectrum.root_systems import (
     AlgebraId,
     CartanMatrix,
@@ -21,6 +28,7 @@ from toda_spectrum.root_systems import (
     generate_roots,
     root_system,
 )
+from toda_spectrum.spectral import perron_vector
 
 ALL_ALGEBRAS = classical.all_algebras(8)
 # the top rank of the float_highrank benchmark workload
@@ -81,6 +89,27 @@ def test_cartan_matrix_e8_matches_adjacency():
         (0, 0, 0, 0, 1, 0, 0, 0),
     )
     assert dynkin_adjacency(cartan_matrix(AlgebraId("E", 8))) == want_adjacency
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((2, -1, 0.0), (-1, 2, -1), (Fraction(0), -1, 2)),
+        ((2, -1, False), (-1, 2, -1), (False, -1, 2)),
+    ],
+    ids=["float-and-Fraction-zeros", "False-zeros"],
+)
+def test_dynkin_adjacency_reads_no_zero_from_the_entries(entries):
+    # only nonzero entries are type-checked, so these zeros stay in ``entries``
+    a3 = cartan_matrix(AlgebraId("A", 3))
+    cartan = CartanMatrix(entries)
+    assert cartan == a3 and cartan.entries == entries
+    adjacency = dynkin_adjacency(cartan)
+    assert adjacency == dynkin_adjacency(a3)
+    assert all(type(x) is int for row in adjacency for x in row)
+    poly = char_poly_exact(RationalMatrix.from_rows(adjacency))
+    assert poly == masses.adjacency_char_poly("A3")
+    assert perron_vector(adjacency) == perron_vector(dynkin_adjacency(a3))
 
 
 def test_cartan_rejects_affine():
@@ -482,8 +511,8 @@ def test_adjacency_eigenvalues_agree_with_jacobi_on_random_diagrams(entries):
         cartan = CartanMatrix(entries)
     except InvalidAlgebraError:
         return
-    a = masses.adjacency_symmetrized(generate_roots(cartan))
-    got = ts.symmetric_eigenvalues(a)
+    a = dense(*masses._adjacency_bonds(generate_roots(cartan)))
+    got = dense_eigenvalues(a)
     want = ts.jacobi_eigen(a).eigenvalues
     scale = max(map(abs, want))
     for x, y in zip(got, want, strict=True):

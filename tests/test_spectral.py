@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense, dense_eigenvalues
 from toda_spectrum import classical, masses, spectral
 from toda_spectrum.exact_poly import RationalMatrix, char_poly_exact, refine_real_roots
-from toda_spectrum.masses import (
-    adjacency_eigen,
-    adjacency_symmetrized,
-    mass_matrix_embedded,
-    perron_components,
-)
+from toda_spectrum.masses import adjacency_eigen, mass_matrix_embedded, perron_components
 from toda_spectrum.root_systems import AlgebraId, cartan_matrix, dynkin_adjacency, root_system
 from toda_spectrum.spectral import (
     POWER_DELTA_TOL,
@@ -21,7 +17,6 @@ from toda_spectrum.spectral import (
     jacobi_eigen,
     perron_vector,
     recover_exponents,
-    symmetric_eigenvalues,
 )
 
 ALL_ALGEBRAS = classical.all_algebras(8)
@@ -52,7 +47,7 @@ def test_symmetric_solvers_take_entries_near_the_float_maximum():
     # 1e308 + 1e308 and 2 * 1e308 would both overflow
     m = [[1e308, 1e308], [1e308, -1e308]]
     want = math.sqrt(2.0) * 1e308
-    for got in (symmetric_eigenvalues(m), jacobi_eigen(m).eigenvalues):
+    for got in (dense_eigenvalues(m), jacobi_eigen(m).eigenvalues):
         assert got == pytest.approx((want, -want), rel=1e-15)
 
 
@@ -114,8 +109,8 @@ SOLVER_ALGEBRAS = (
 
 @pytest.mark.parametrize("name", SOLVER_ALGEBRAS)
 def test_symmetric_eigenvalues_agree_with_jacobi_on_algebra_matrices(name):
-    for m in (mass_matrix_embedded(name), adjacency_symmetrized(root_system(name))):
-        got = symmetric_eigenvalues(m)
+    for m in (mass_matrix_embedded(name), dense(*masses._adjacency_bonds(root_system(name)))):
+        got = dense_eigenvalues(m)
         want = jacobi_eigen(m).eigenvalues
         scale = max(map(abs, want))
         for x, y in zip(got, want, strict=True):
@@ -124,7 +119,7 @@ def test_symmetric_eigenvalues_agree_with_jacobi_on_algebra_matrices(name):
 
 def test_a_series_adjacency_eigenvalues_are_closed_form():
     for n in range(1, 65):
-        got = symmetric_eigenvalues(adjacency_symmetrized(root_system(f"A{n}")))
+        got = dense_eigenvalues(dense(*masses._adjacency_bonds(root_system(f"A{n}"))))
         for k, x in enumerate(got, start=1):
             assert abs(x - 2.0 * math.cos(k * math.pi / (n + 1))) <= 1e-14, (n, k)
 
@@ -153,16 +148,18 @@ BAND_GRAPHS = {
 }
 
 
-def _band_matrix(name, seed=0):
-    """A symmetric matrix on the graph, weights multiples of 1/16 in [-4, 4]."""
+def _band_bonds(name, seed=0):
+    """Diagonal and bonds on the graph, weights multiples of 1/16 in [-4, 4]."""
     n, edges = BAND_GRAPHS[name]
     rng = random.Random(f"{name}-{seed}")
-    m = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = rng.randint(-64, 64) / 16
-    for i, j in edges:
-        m[i][j] = m[j][i] = rng.choice([-1, 1]) * rng.randint(1, 64) / 16
-    return m
+    diagonal = [rng.randint(-64, 64) / 16 for _ in range(n)]
+    bonds = [(*sorted(e), rng.choice([-1, 1]) * rng.randint(1, 64) / 16) for e in edges]
+    return diagonal, bonds
+
+
+def _band_matrix(name, seed=0):
+    """The dense view of :func:`_band_bonds`."""
+    return dense(*_band_bonds(name, seed))
 
 
 def _assert_agree(got, want, tol=0.0):
@@ -176,20 +173,20 @@ def _assert_agree(got, want, tol=0.0):
 def test_symmetric_eigenvalues_agree_with_jacobi_on_band_matrices(name, seed):
     m = _band_matrix(name, seed)
     want = jacobi_eigen(m).eigenvalues
-    _assert_agree(symmetric_eigenvalues(m), want)
+    _assert_agree(dense_eigenvalues(m), want)
     # huge entries: 2^1000 times the matrix, exactly
     huge = [[math.ldexp(x, 1000) for x in row] for row in m]
-    _assert_agree(symmetric_eigenvalues(huge), [math.ldexp(x, 1000) for x in want])
+    _assert_agree(dense_eigenvalues(huge), [math.ldexp(x, 1000) for x in want])
     # subnormal throughout: 2^-1050 times the matrix, still exact; the results
     # are rounded to the subnormal grid, so allow one step of it
     tiny = [[math.ldexp(x, -1050) for x in row] for row in m]
     assert all(abs(x) < 2.0**-1022 for row in tiny for x in row)
-    _assert_agree(symmetric_eigenvalues(tiny), [math.ldexp(x, -1050) for x in want], 2.0**-1074)
+    _assert_agree(dense_eigenvalues(tiny), [math.ldexp(x, -1050) for x in want], 2.0**-1074)
     # subnormal bonds among normal ones: each rotation they start is scaled first
     mixed = [row[:] for row in m]
     for k, (i, j) in enumerate(BAND_GRAPHS[name][1][::2]):
         mixed[i][j] = mixed[j][i] = (k + 1) * 5e-324
-    _assert_agree(symmetric_eigenvalues(mixed), jacobi_eigen(mixed).eigenvalues)
+    _assert_agree(dense_eigenvalues(mixed), jacobi_eigen(mixed).eigenvalues)
 
 
 def _ordered_bandwidth(m):
@@ -209,8 +206,8 @@ def test_reverse_cuthill_mckee_bandwidth_on_every_diagram_to_rank_64():
     names += ["E6", "E7", "E8", "F4", "G2"]
     for name in names:
         rs = root_system(name)
-        plain = _ordered_bandwidth(adjacency_symmetrized(rs))
-        affine = _ordered_bandwidth(masses._affine_mass_matrix(rs))
+        plain = _ordered_bandwidth(dense(*masses._adjacency_bonds(rs)))
+        affine = _ordered_bandwidth(dense(*masses._affine_bonds(rs)))
         assert plain <= 2, name
         assert affine <= (3 if name == "D4" else 2), name
 
@@ -318,7 +315,7 @@ def diagonal_matrices(draw, max_n=6):
 )
 def test_symmetric_eigenvalues_agree_with_jacobi_on_random_matrices(m):
     # Jacobi stops on an absolute off-diagonal threshold, hence the floor of 1
-    got = symmetric_eigenvalues(m)
+    got = dense_eigenvalues(m)
     want = jacobi_eigen(m).eigenvalues
     assert list(got) == sorted(got, reverse=True)
     scale = max(1.0, max(map(abs, want)))
@@ -330,23 +327,20 @@ def test_symmetric_eigenvalues_agree_with_jacobi_on_random_matrices(m):
 @given(reflected_diagonals())
 def test_symmetric_eigenvalues_resolve_repeated_eigenvalues(pair):
     m, lam = pair
-    for x, y in zip(symmetric_eigenvalues(m), lam):
+    for x, y in zip(dense_eigenvalues(m), lam):
         assert abs(x - y) <= 1e-12
 
 
 def test_symmetric_eigenvalues_small_cases():
-    assert symmetric_eigenvalues([]) == ()
-    assert symmetric_eigenvalues([[-2.5]]) == (-2.5,)
-    assert symmetric_eigenvalues([[0.0, 0.0], [0.0, 0.0]]) == (0.0, 0.0)
-    assert symmetric_eigenvalues([[1.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]]) == (
-        3.0,
-        2.0,
-        1.0,
-    )
+    eigenvalues_from_bonds = spectral.eigenvalues_from_bonds
+    assert eigenvalues_from_bonds([], []) == ()
+    assert eigenvalues_from_bonds([-2.5], []) == (-2.5,)
+    assert eigenvalues_from_bonds([0.0, 0.0], []) == (0.0, 0.0)
+    assert eigenvalues_from_bonds([1.0, 3.0, 2.0], []) == (3.0, 2.0, 1.0)
     # entries far below the largest one, and a matrix that is subnormal throughout
-    big, small = symmetric_eigenvalues([[10.0, 5e-324], [5e-324, 1e-310]])
+    big, small = eigenvalues_from_bonds([10.0, 1e-310], [(0, 1, 5e-324)])
     assert big == 10.0 and abs(small - 1e-310) <= 1e-320
-    assert symmetric_eigenvalues([[0.0, 5e-324], [5e-324, 0.0]]) == (5e-324, -5e-324)
+    assert eigenvalues_from_bonds([0.0, 0.0], [(0, 1, 5e-324)]) == (5e-324, -5e-324)
 
 
 @pytest.mark.parametrize(
@@ -363,8 +357,10 @@ def test_symmetric_eigenvalues_small_cases():
     ids=str,
 )
 def test_symmetric_eigenvalues_reject_asymmetric_and_non_square(bad):
-    with pytest.raises(ValueError):
-        symmetric_eigenvalues(bad)
+    # both go through the symmetric copy: the reference wrapper, and Jacobi in the library
+    for solve in (dense_eigenvalues, jacobi_eigen):
+        with pytest.raises(ValueError):
+            solve(bad)
 
 
 @pytest.mark.parametrize("name", BAND_GRAPHS)
@@ -373,7 +369,7 @@ def test_eigenvalues_from_bonds_do_not_depend_on_the_bond_order(name):
     m = _band_matrix(name)
     n = len(m)
     bonds = [(i, j, m[i][j]) for i in range(n) for j in range(i + 1, n) if m[i][j]]
-    want = symmetric_eigenvalues(m)
+    want = dense_eigenvalues(m)
     for order in (bonds, bonds[::-1], sorted(bonds, key=lambda bond: bond[1])):
         assert spectral.eigenvalues_from_bonds([m[i][i] for i in range(n)], order) == want
 
@@ -405,9 +401,9 @@ def test_eigenvalues_from_bonds_reject_a_diagonal_that_is_not_finite(diagonal):
 
 def test_symmetric_eigenvalues_raise_past_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_QL_ITER", 0)
-    assert symmetric_eigenvalues([[2.0, 0.0], [0.0, 1.0]]) == (2.0, 1.0)
+    assert spectral.eigenvalues_from_bonds([2.0, 1.0], []) == (2.0, 1.0)
     with pytest.raises(RuntimeError, match="did not converge"):
-        symmetric_eigenvalues([[0.0, 1.0], [1.0, 0.0]])
+        spectral.eigenvalues_from_bonds([0.0, 0.0], [(0, 1, 1.0)])
 
 
 def test_symmetric_eigenvalues_check_the_invariants(monkeypatch):
@@ -421,7 +417,7 @@ def test_symmetric_eigenvalues_check_the_invariants(monkeypatch):
 
     monkeypatch.setattr(spectral, "_ql_implicit", one_off)
     with pytest.raises(RuntimeError, match="trace"):
-        symmetric_eigenvalues(_band_matrix("cycle-7"))
+        spectral.eigenvalues_from_bonds(*_band_bonds("cycle-7"))
 
 
 def test_invariant_check_catches_a_wrong_eigenvalue():
@@ -716,7 +712,7 @@ def test_exponents_reject_out_of_range():
 @pytest.mark.parametrize("name", ["B2", "G2", "F4"])
 def test_symmetrized_route_matches_exact_charpoly_roots(name):
     rs = root_system(name)
-    route_one = sorted(jacobi_eigen(adjacency_symmetrized(rs)).eigenvalues)
+    route_one = sorted(jacobi_eigen(dense(*masses._adjacency_bonds(rs))).eigenvalues)
     poly = char_poly_exact(RationalMatrix.from_rows(dynkin_adjacency(rs.cartan)))
     route_two = sorted(refine_real_roots(poly, -2.5, 2.5))
     assert len(route_one) == len(route_two)

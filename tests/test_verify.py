@@ -139,3 +139,50 @@ def test_star_import_binds_every_name_in_all():
     namespace = {}
     exec("from toda_spectrum import *", namespace)
     assert set(toda_spectrum.__all__) <= namespace.keys()
+
+
+# the public API, sorted; a change to it is deliberate and recorded in CHANGES.md
+PUBLIC_API = [
+    "AdjacencyEigenvalues",
+    "AlgebraId",
+    "CartanMatrix",
+    "CheckReport",
+    "CheckResult",
+    "ConsistencyError",
+    "E8",
+    "EigenDecomposition",
+    "GOLDEN_RATIO",
+    "InvalidAlgebraError",
+    "MassMethod",
+    "NegativeRadicandError",
+    "NormalizationInfo",
+    "PerronVector",
+    "RationalMatrix",
+    "RationalPolynomial",
+    "RootSystem",
+    "Spectrum",
+    "adjacency_eigen",
+    "cartan_matrix",
+    "char_poly_exact",
+    "dynkin_adjacency",
+    "embed_roots",
+    "eval_radical",
+    "generate_roots",
+    "jacobi_eigen",
+    "mass_char_poly",
+    "mass_matrix",
+    "mass_ratio_spread",
+    "perron_components",
+    "perron_vector",
+    "poly_divide_exact",
+    "radical_identity_suite",
+    "recover_exponents",
+    "refine_real_roots",
+    "root_system",
+    "spectrum_method1",
+    "spectrum_method2",
+]
+
+
+def test_public_api_is_the_recorded_list():
+    assert sorted(toda_spectrum.__all__) == PUBLIC_API
