@@ -1,16 +1,19 @@
 """Exact rational polynomials and matrices.
 
-The matrix kernels clear denominators once and then work in Python integers,
-the fraction-free idea of Bareiss (1968): a product scales both factors by the
-lcm of their denominators, multiplies integer rows and divides once per entry;
-the characteristic polynomial runs Faddeev-LeVerrier on the scaled integer
-matrix, where every division is exact, and unscales the coefficients at the
-end. Every coefficient is exact, and no ``Fraction`` is normalised inside the
-O(n^4) loop.
+A ``RationalMatrix`` is held as integer rows over one common denominator, so
+the matrix kernels work in Python integers throughout, the fraction-free idea
+of Bareiss (1968): a product multiplies integer rows and the two
+denominators, then cancels one gcd; no ``Fraction`` is built or normalised
+per entry. The characteristic polynomial is Leverrier's: the power sums
+p_k = tr(a^k) of the integer matrix a, from the powers up to a^ceil(n/2)
+only, then the coefficients by Newton's identities, where every division is
+exact; the coefficients are unscaled at the end. Every coefficient is exact.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -21,8 +24,13 @@ from .record import Record
 RationalLike = Fraction | int
 
 
-def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _frac(x: RationalLike, what: str) -> Fraction:
+    """``x`` as a ``Fraction``; ``TypeError`` unless it is an ``int`` or a ``Fraction``."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"{what} {x!r} is not an int or a Fraction")
 
 
 class RationalPolynomial(Record):
@@ -31,7 +39,7 @@ class RationalPolynomial(Record):
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(_frac(c) for c in self.coefficients)
+        coeffs = tuple(_frac(c, f"coefficient {k}") for k, c in enumerate(self.coefficients))
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -39,7 +47,7 @@ class RationalPolynomial(Record):
     @classmethod
     def of(cls, *coefficients: RationalLike) -> "RationalPolynomial":
         """Build from ascending coefficients: ``of(c0, c1, ..., cn)``."""
-        return cls(tuple(_frac(c) for c in coefficients))
+        return cls(coefficients)
 
     @property
     def degree(self) -> int:
@@ -51,6 +59,8 @@ class RationalPolynomial(Record):
         return not self.coefficients
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
             a, b = b, a
@@ -63,9 +73,13 @@ class RationalPolynomial(Record):
         return RationalPolynomial(tuple(-c for c in self.coefficients))
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         if self.is_zero or other.is_zero:
             return RationalPolynomial(())
         out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
@@ -84,7 +98,7 @@ class RationalPolynomial(Record):
         return acc
 
     def evaluate_exact(self, x: RationalLike) -> Fraction:
-        xf = _frac(x)
+        xf = _frac(x, "point")
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * xf + c
@@ -126,48 +140,81 @@ def _coeff_str(c: Fraction) -> str:
 
 
 class RationalMatrix(Record):
-    """Square matrix of exact rationals."""
+    """Square matrix of exact rationals: integer ``rows`` over one positive ``denominator``.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    Entry (i, j) is ``rows[i][j] / denominator``. The constructor cancels the
+    gcd of the denominator and every entry, which leaves the denominator at
+    the lcm of the entries' reduced denominators: equal matrices have equal
+    fields, so ``==`` and ``hash`` are value equality. :meth:`from_rows`
+    takes ``int`` and ``Fraction`` entries, and :attr:`entries` gives them
+    back as ``Fraction`` rows when read.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    denominator: int = 1
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
-        rows = []
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            rows.append(tuple(_frac(v) for v in row))
-        object.__setattr__(self, "entries", tuple(rows))
+        rows = tuple(map(tuple, self.rows))
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        d = self.denominator
+        if not isinstance(d, int):
+            raise TypeError(f"denominator {d!r} is not an int")
+        if d <= 0:
+            raise ValueError(f"denominator {d} is not positive")
+        try:
+            g = math.gcd(d, *itertools.chain.from_iterable(rows))
+        except TypeError:
+            i, j, v = next(
+                (i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)
+                if not isinstance(v, int)
+            )
+            raise TypeError(f"matrix entry ({i}, {j}) = {v!r} is not an int") from None
+        if g > 1:
+            rows = tuple(tuple([v // g for v in row]) for row in rows)
+            d //= g
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "denominator", d)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[RationalLike]]) -> "RationalMatrix":
-        return cls(tuple(tuple(_frac(v) for v in row) for row in rows))
+        """The matrix of these ``int`` or ``Fraction`` entries; ``TypeError`` on any other."""
+        rows = [tuple(row) for row in rows]
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if not isinstance(v, (int, Fraction)):
+                    raise TypeError(f"matrix entry ({i}, {j}) = {v!r} is not an int or a Fraction")
+        scale = math.lcm(*(v.denominator for row in rows for v in row))
+        return cls(
+            tuple(tuple([v.numerator * (scale // v.denominator) for v in row]) for row in rows),
+            scale,
+        )
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction`` rows, built on first read."""
+        d = self.denominator
+        return tuple(tuple(Fraction(v, d) for v in row) for row in self.rows)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self.rows)), self.denominator)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("size mismatch")
-        scale_a, a = _integer_rows(self)
-        scale_b, b = _integer_rows(other)
-        scale = scale_a * scale_b
         return RationalMatrix(
-            tuple(tuple(Fraction(v, scale) for v in row) for row in _int_matmul(a, b))
+            _int_matmul(self.rows, other.rows), self.denominator * other.denominator
         )
 
 
-def _integer_rows(m: RationalMatrix) -> tuple[int, list[list[int]]]:
-    """The lcm L of the denominators of ``m``, and the integer rows of L*m."""
-    scale = math.lcm(*(v.denominator for row in m.entries for v in row))
-    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in m.entries]
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     columns = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
 
@@ -175,27 +222,38 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 def char_poly_exact(m: RationalMatrix) -> RationalPolynomial:
     """Monic characteristic polynomial det(xI - m), exact.
 
-    Faddeev-LeVerrier on the integer matrix a = L*m, L the lcm of the
-    denominators of m: with M_1 = a and c_k = -trace(M_k)/k,
-    M_{k+1} = a (M_k + c_k I); the c_k are the descending coefficients of
-    det(xI - a) after the leading 1. They are integers, so each division by k
-    is exact, and the coefficients of m are c_k / L^k.
+    Leverrier's method on the integer matrix a = L*m, L = ``m.denominator``.
+    The power sums p_k = tr(a^k), k <= n, come from the powers a^1 ... a^h,
+    h = ceil(n/2), alone: for k > h, tr(a^h a^(k-h)) is summed entrywise
+    without forming the product. That is h - 1 integer matrix products, not
+    the n - 1 of Faddeev's recurrence. Newton's identities,
+    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), then give the
+    descending coefficients c_k of det(xI - a) after the leading 1. They are
+    integers, so each division by k is exact (a remainder raises
+    ``ArithmeticError``), and the coefficients of m are c_k / L^k.
     """
     n = m.n
-    scale, a = _integer_rows(m)
-    coeffs_desc: list[Fraction] = [Fraction(1)]
-    mk = a
+    a = m.rows
+    h = (n + 1) // 2
+    powers = [a]  # powers[k - 1] = a^k
+    for _ in range(h - 1):
+        powers.append(_int_matmul(powers[-1], a))
+    sums = [sum(row[i] for i, row in enumerate(p)) for p in powers]
+    top = list(zip(*powers[-1]))  # tr(a^h b) = sum over s of row s of b dot column s of a^h
+    for p in powers[: n - h]:
+        sums.append(sum(sum(map(operator.mul, row, col)) for row, col in zip(p, top)))
+    coeffs = [1]
     for k in range(1, n + 1):
-        ck, remainder = divmod(-sum(mk[i][i] for i in range(n)), k)
+        # c_1..c_(k-1) against p_(k-1)..p_1
+        total = sums[k - 1] + sum(map(operator.mul, coeffs[1:], reversed(sums[: k - 1])))
+        ck, remainder = divmod(-total, k)
         if remainder:
-            raise ArithmeticError(f"trace of M_{k} is not divisible by {k}")
-        coeffs_desc.append(Fraction(ck, scale**k))
-        if k < n:
-            shifted = [
-                [v + ck if i == j else v for j, v in enumerate(row)] for i, row in enumerate(mk)
-            ]
-            mk = _int_matmul(a, shifted)
-    return RationalPolynomial(tuple(reversed(coeffs_desc)))
+            raise ArithmeticError(f"Newton sum {k} is not divisible by {k}")
+        coeffs.append(ck)
+    scale = m.denominator
+    return RationalPolynomial(
+        tuple(Fraction(c, scale**k) for k, c in reversed(list(enumerate(coeffs))))
+    )
 
 
 def poly_divide_exact(

@@ -127,16 +127,23 @@ def mass_matrix(algebra: AlgebraId | str) -> RationalMatrix:
     marks (n_0 = 1), the mass matrix equals L^T K L for the Cholesky factor L
     of the Gram matrix and K = sum n_j c_j c_j^T. It is therefore similar to
     K G, which is exact: K is an integer matrix (marks outer product plus the
-    diagonal of marks) and G the rational Gram matrix.
+    diagonal of marks) and G the rational Gram matrix. G_ij = C_ij d_j is
+    filled from the Cartan bonds as integers over L, the lcm of the
+    symmetrizers' denominators, so no ``Fraction`` is read or built per entry.
     """
     rs = root_system(algebra)
     n = rs.rank
     marks = rs.marks
-    k_entries = [
-        [Fraction(marks[i] * marks[j] + (marks[i] if i == j else 0)) for j in range(n)]
-        for i in range(n)
-    ]
-    return RationalMatrix.from_rows(k_entries) @ RationalMatrix(rs.gram)
+    k_rows = [[mi * mj for mj in marks] for mi in marks]
+    for i, mi in enumerate(marks):
+        k_rows[i][i] += mi
+    scale = math.lcm(*(d.denominator for d in rs.symmetrizers))
+    scaled = [d.numerator * (scale // d.denominator) for d in rs.symmetrizers]
+    g_rows = [[0] * n for _ in range(n)]
+    for g, bonds in zip(g_rows, rs.cartan.bonds):
+        for j, c in bonds:
+            g[j] = c * scaled[j]
+    return RationalMatrix(k_rows) @ RationalMatrix(g_rows, scale)
 
 
 def mass_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:

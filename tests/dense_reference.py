@@ -1,4 +1,5 @@
-"""Dense references: ``CartanMatrix`` validation, the ``generate_roots`` build, and dense views.
+"""Dense references: ``CartanMatrix`` validation, the ``generate_roots`` build, dense views
+and the Faddeev-LeVerrier characteristic polynomial.
 
 ``CartanMatrix`` checks its entries on the bond list, and ``generate_roots``
 shares one ``Fraction`` per distinct Gram value. The functions here do the
@@ -14,6 +15,11 @@ the symmetric matrix of a diagonal and a bond list, as
 ``dense(*masses._affine_bonds(rs))`` or ``dense(*masses._adjacency_bonds(rs))``,
 and ``dense_eigenvalues`` takes any square, finite, symmetric matrix to the
 library's solver, every nonzero entry above the diagonal as a bond.
+
+``faddeev_char_poly`` is the characteristic polynomial by the
+Faddeev-LeVerrier recurrence, n - 1 matrix products, which the library used
+before it took the power sums from half the powers; the tests hold
+``char_poly_exact`` to it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from toda_spectrum.exact_poly import RationalPolynomial
 from toda_spectrum.root_systems import InvalidAlgebraError, _raise_to_dominant
 from toda_spectrum.spectral import _symmetric_copy, eigenvalues_from_bonds
 
@@ -159,3 +166,30 @@ def dense_eigenvalues(m):
     n = len(a)
     bonds = [(i, j, row[j]) for i, row in enumerate(a) for j in range(i + 1, n) if row[j]]
     return eigenvalues_from_bonds([a[i][i] for i in range(n)], bonds)
+
+
+def faddeev_char_poly(entries) -> RationalPolynomial:
+    """det(xI - m) of a square matrix of ints and ``Fraction``s, by Faddeev-LeVerrier.
+
+    On the integer matrix a = L*m, L the lcm of the denominators: with
+    M_1 = a and c_k = -trace(M_k)/k, M_(k+1) = a (M_k + c_k I); the c_k are
+    the descending coefficients of det(xI - a) after the leading 1, integers,
+    and those of m are c_k / L^k.
+    """
+    n = len(entries)
+    scale = math.lcm(*(Fraction(v).denominator for row in entries for v in row))
+    a = [[int(v * scale) for v in row] for row in entries]
+    coeffs_desc = [Fraction(1)]
+    mk = a
+    for k in range(1, n + 1):
+        ck, remainder = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if remainder:
+            raise ArithmeticError(f"trace of M_{k} is not divisible by {k}")
+        coeffs_desc.append(Fraction(ck, scale**k))
+        if k < n:
+            shifted = [
+                [v + ck if i == j else v for j, v in enumerate(row)] for i, row in enumerate(mk)
+            ]
+            columns = list(zip(*shifted))
+            mk = [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
+    return RationalPolynomial(tuple(reversed(coeffs_desc)))

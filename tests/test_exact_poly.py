@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from dense_reference import faddeev_char_poly
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toda_spectrum import classical
 from toda_spectrum.exact_poly import (
     RationalMatrix,
     RationalPolynomial,
@@ -12,8 +14,8 @@ from toda_spectrum.exact_poly import (
     poly_divide_exact,
     refine_real_roots,
 )
-from toda_spectrum.masses import mass_char_poly
-from toda_spectrum.root_systems import AlgebraId, cartan_matrix, dynkin_adjacency
+from toda_spectrum.masses import mass_char_poly, mass_matrix
+from toda_spectrum.root_systems import AlgebraId, cartan_matrix, dynkin_adjacency, root_system
 from toda_spectrum.verify import E8_MASS_QUARTICS
 
 # frozen expected coefficients, ascending degree
@@ -26,7 +28,7 @@ SMALLEST_LIGHT_QUARTIC_ROOT = 0.851341619564988
 
 # ---------------------------------------------------------------------------
 # oracle: characteristic polynomial by cofactor expansion of xI - m over the
-# polynomial ring (independent of the Faddeev-LeVerrier route under test)
+# polynomial ring (independent of the power-sum route under test)
 # ---------------------------------------------------------------------------
 
 
@@ -92,6 +94,105 @@ def test_matmul_matches_naive_triple_sum(pair):
     product = RationalMatrix.from_rows(a) @ RationalMatrix.from_rows(b)
     assert product == RationalMatrix.from_rows(naive_matmul(a, b))
     assert all(isinstance(v, Fraction) for row in product.entries for v in row)
+
+
+def jordan_block(n: int, eigenvalue: Fraction) -> list[list[Fraction | int]]:
+    """``eigenvalue`` on the diagonal, 1 just above it, 0 elsewhere."""
+    return [[eigenvalue if i == j else int(j == i + 1) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(rational_matrices))
+@example([[0] * 8 for _ in range(8)])
+@example(jordan_block(8, Fraction(0)))
+@example(jordan_block(5, Fraction(0)))
+@example(jordan_block(6, Fraction(-3, 2)))
+@example([[Fraction(2, 3) if i == j else 0 for j in range(7)] for i in range(7)])
+@example([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, Fraction(-1, 5)]])
+def test_char_poly_matches_faddeev_reference(entries):
+    assert char_poly_exact(RationalMatrix.from_rows(entries)) == faddeev_char_poly(entries)
+
+
+def test_char_poly_of_jordan_blocks_is_a_power():
+    x = RationalPolynomial.of(0, 1)
+    for n, eigenvalue in [(8, Fraction(0)), (7, Fraction(5, 3))]:
+        expected = RationalPolynomial.of(1)
+        for _ in range(n):
+            expected = expected * (x - RationalPolynomial.of(eigenvalue))
+        assert char_poly_exact(RationalMatrix.from_rows(jordan_block(n, eigenvalue))) == expected
+
+
+REFERENCE_ALGEBRAS = classical.all_algebras(16) + ["A31", "B31", "C31", "D31"]
+
+
+@pytest.mark.parametrize("name", REFERENCE_ALGEBRAS)
+def test_mass_and_adjacency_char_polys_match_faddeev_reference(name):
+    mass = mass_matrix(name)
+    assert char_poly_exact(mass) == faddeev_char_poly(mass.entries)
+    adjacency = dynkin_adjacency(root_system(name).cartan)
+    assert char_poly_exact(RationalMatrix.from_rows(adjacency)) == faddeev_char_poly(adjacency)
+
+
+@pytest.mark.parametrize("name", classical.all_algebras(16))
+def test_mass_matrix_is_marks_matrix_times_gram_in_fractions(name):
+    rs = root_system(name)
+    n, marks = rs.rank, rs.marks
+    k = [[Fraction(marks[i] * marks[j] + (marks[i] if i == j else 0)) for j in range(n)]
+         for i in range(n)]
+    expected = naive_matmul(k, [list(row) for row in rs.gram])
+    product = mass_matrix(name)
+    assert product.entries == tuple(map(tuple, expected))
+    assert product == RationalMatrix.from_rows(expected)
+
+
+def test_matrix_is_integer_rows_over_the_least_common_denominator():
+    half = Fraction(1, 2)
+    m = RationalMatrix.from_rows([[half, 1], [Fraction(-3, 4), 0]])
+    assert (m.rows, m.denominator) == (((2, 4), (-3, 0)), 4)
+    assert m.entries == ((half, Fraction(1)), (Fraction(-3, 4), Fraction(0)))
+    scaled = RationalMatrix(((6, 12), (-9, 0)), 12)
+    assert scaled == m and hash(scaled) == hash(m)
+    assert (scaled.rows, scaled.denominator) == (m.rows, m.denominator)
+    assert RationalMatrix.from_rows([[True, False], [0, 1]]) == RationalMatrix(((1, 0), (0, 1)))
+    assert m.trace() == half
+    for denominator in (0, -2):
+        with pytest.raises(ValueError, match="positive"):
+            RationalMatrix(((1,),), denominator)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RationalMatrix.from_rows([[0.1]]), r"entry \(0, 0\) = 0\.1 "),
+        (lambda: RationalMatrix.from_rows([[1, 2], [3, "1/3"]]), r"entry \(1, 1\) = '1/3' "),
+        (lambda: RationalMatrix(((1, 2), (Fraction(1, 2), 0))), r"entry \(1, 0\) = Fraction"),
+        (lambda: RationalMatrix(((1,),), 0.5), r"denominator 0\.5 "),
+        (lambda: RationalPolynomial.of(1, 0.1), r"coefficient 1 0\.1 "),
+        (lambda: RationalPolynomial(("1/3",)), r"coefficient 0 '1/3' "),
+        (lambda: RationalPolynomial.of(1, 2).evaluate_exact(0.5), r"point 0\.5 "),
+    ],
+)
+def test_inexact_input_is_a_type_error_naming_the_entry(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda m, p: m @ 2,
+        lambda m, p: m @ p,
+        lambda m, p: p + 1,
+        lambda m, p: p - Fraction(1, 2),
+        lambda m, p: p * 2,
+        lambda m, p: p * m,
+    ],
+)
+def test_foreign_operand_is_a_type_error(apply):
+    m = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    p = RationalPolynomial.of(1, 1)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        apply(m, p)
 
 
 def test_char_poly_matches_oracle_5x5():

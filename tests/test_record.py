@@ -40,10 +40,9 @@ CASES = [
     ),
     (
         RationalMatrix,
-        {"entries": ((F(1), F(2)), (F(3), F(1, 4)))},
-        {"entries": ((F(1),),)},
-        "RationalMatrix(entries=((Fraction(1, 1), Fraction(2, 1)), "
-        "(Fraction(3, 1), Fraction(1, 4))))",
+        {"rows": ((4, 8), (12, 1)), "denominator": 4},
+        {"rows": ((1,),), "denominator": 1},
+        "RationalMatrix(rows=((4, 8), (12, 1)), denominator=4)",
     ),
     (
         NormalizationInfo,
