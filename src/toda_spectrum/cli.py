@@ -83,10 +83,14 @@ def _algebra(text: str) -> AlgebraId:
 
 
 def _tolerance(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
-    """Reject a ``--tolerance`` that is negative, infinite or NaN, as a usage error."""
+    """Reject a ``--tolerance`` that is negative, infinite or NaN, as a usage error.
+
+    ``-0.0`` passes the check and becomes ``0.0``, so that it prints as
+    ``--tolerance 0`` does.
+    """
     if value is not None and not 0.0 <= value < math.inf:
         raise click.BadParameter(f"{value} is not a finite nonnegative number")
-    return value
+    return None if value is None else value + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def _fmt(x: float) -> str:

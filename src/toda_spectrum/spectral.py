@@ -12,8 +12,13 @@ request runs the cyclic Jacobi solver ``jacobi_eigen`` (O(n^3) per sweep,
 with eigenvectors): it is the tests' eigenvector reference, and the
 benchmark's tracer wraps it by name. ``perron_vector`` takes finite,
 nonnegative, irreducible input, irreducibility decided exactly from the
-nonzero pattern; its power-iteration step visits only the nonzero entries of
-each column, O(n + nonzeros), and non-convergence raises ``RuntimeError``.
+nonzero pattern, and non-convergence raises ``RuntimeError``. Its
+power-iteration step costs O(n + nonzeros) in a few C-level sweeps over
+whole lists: with the columns renumbered once by their count of nonzeros,
+one ``map`` sweep per layer (the k-th nonzero of every column that has one)
+and four more for the shift, the maximum, the division and the change. Each
+column is still summed in row order, then shifted, so the iterates are bit
+for bit those of a loop over the columns.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .record import Record
 
@@ -355,9 +360,19 @@ def perron_vector(a: Matrix) -> PerronVector:
     ``RuntimeError`` if it has not converged after ``_MAX_POWER_ITER``
     steps. The reported eigenvalue refers to ``a`` itself.
 
-    Each step costs O(n + nonzeros): the nonzero entries of each column are
-    listed once and summed in row order, which gives the same iterates, bit
-    for bit, as summing over every row, because adding a zero product is exact.
+    Each step costs O(n + nonzeros) in a few C-level sweeps over whole
+    lists. Once per call the columns are renumbered by non-increasing count
+    of nonzeros, so that the k-th nonzero of every column, in row order,
+    forms a prefix of the new order: layer k. A step is one ``map`` sweep
+    per layer, adding vec[i] * a[i][j] into that prefix of the column sums,
+    then one sweep adding 2 vec[j], ``max``, one division sweep and one
+    sweep for the change; the vector is put back in node order once, at
+    the end. Each column sum is formed as ((0 + p1) + p2 + ...) + 2 vec[j],
+    its products in row order, on every Python version (``sum`` is not
+    used: from Python 3.12 it compensates). Adding a zero product is exact,
+    so this is also the sum over every row. The iterates, the step count
+    and the eigenvalue are bit for bit those of a loop over the columns
+    that sums in this order.
     """
     n = len(a)
     rows: list[list[int]] = [[] for _ in range(n)]
@@ -375,12 +390,39 @@ def perron_vector(a: Matrix) -> PerronVector:
     if not n or any(sum(map(len, _levels(adj, 0))) < n for adj in (rows, reverse)):
         raise ValueError("matrix is not irreducible: its nonzero pattern is not strongly connected")
 
+    # renumber the nodes, columns with more nonzeros first (stable), so that
+    # layer k, the k-th nonzero of each column that has one, is a prefix; the
+    # one empty column an irreducible matrix can have, that of the 1 x 1 zero
+    # matrix, lists its zero entry, so that layer 0 covers every column
+    cols = [col or [(j, 0.0)] for j, col in enumerate(cols)]
+    order = sorted(range(n), key=lambda j: len(cols[j]), reverse=True)
+    at = [0] * n
+    for k, j in enumerate(order):
+        at[j] = k
+    layers = []
+    for k in range(len(cols[order[0]])):
+        entries = [cols[j][k] for j in order if len(cols[j]) > k]
+        layers.append((len(entries), _gather([at[i] for i, _ in entries]), [x for _, x in entries]))
+    (_, first, first_xs), *rest = layers
+
+    def image(vec: list[float]) -> list[float]:
+        """vec @ a in the new numbering, each column summed in row order.
+
+        A column's sum starts at its first product p1, which is 0 + p1 exactly:
+        no product is -0.0, as vec and a are nonnegative.
+        """
+        w = list(map(operator.mul, first(vec), first_xs))
+        for m, gather, xs in rest:  # the map is read in full before the prefix is replaced
+            w[:m] = map(operator.add, w, map(operator.mul, gather(vec), xs))
+        return w
+
     def step(vec: list[float]) -> tuple[list[float], float]:
-        w = [sum([vec[i] * x for i, x in col]) + 2.0 * vec[j] for j, col in enumerate(cols)]
+        # v + v is exactly 2.0 * v
+        w = list(map(operator.add, image(vec), map(operator.add, vec, vec)))
         top = max(w)
         if not top < math.inf:  # checked before the division, so finite steps are unchanged
             raise OverflowError("power iteration overflowed: a step's largest component is inf")
-        nxt = [x / top for x in w]
+        nxt = list(map(operator.truediv, w, itertools.repeat(top, n)))
         return nxt, max(map(abs, map(operator.sub, nxt, vec)))
 
     u = [1.0] * n
@@ -399,10 +441,17 @@ def perron_vector(a: Matrix) -> PerronVector:
             break
         u, delta = nxt, nxt_delta
 
-    k = max(range(n), key=lambda i: u[i])
-    eigenvalue = sum(u[i] * x for i, x in cols[k]) / u[k]
+    components = [u[p] for p in at]
+    k = max(range(n), key=lambda i: components[i])
+    eigenvalue = image(u)[at[k]] / components[k]
 
-    return PerronVector(tuple(u), eigenvalue)
+    return PerronVector(tuple(components), eigenvalue)
+
+
+def _gather(indices: list[int]) -> Callable[[list[float]], tuple[float, ...]]:
+    """A function taking a list to the tuple of its entries at ``indices`` (one or more)."""
+    get = operator.itemgetter(*indices)
+    return get if len(indices) > 1 else lambda v: (get(v),)
 
 
 def recover_exponents(eigenvalues: Sequence[float], h: int) -> tuple[int, ...]:

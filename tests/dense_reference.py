@@ -20,16 +20,33 @@ library's solver, every nonzero entry above the diagonal as a bond.
 Faddeev-LeVerrier recurrence, n - 1 matrix products, which the library used
 before it took the power sums from half the powers; the tests hold
 ``char_poly_exact`` to it.
+
+``column_perron`` is the power iteration of ``perron_vector`` with one
+Python loop per column, as the library ran it before its step became a few
+sweeps over whole lists; the tests hold ``perron_vector`` to it bit for bit.
+Its column sums go through ``row_order_sum``, which adds left to right as
+``sum`` did before Python 3.12 (from 3.12 ``sum`` compensates, and its
+result can differ in the last bit).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 from toda_spectrum.exact_poly import RationalPolynomial
 from toda_spectrum.root_systems import InvalidAlgebraError, _raise_to_dominant
-from toda_spectrum.spectral import _symmetric_copy, eigenvalues_from_bonds
+from toda_spectrum.spectral import (
+    _MAX_POWER_ITER,
+    POWER_DELTA_TOL,
+    PerronVector,
+    _float,
+    _levels,
+    _symmetric_copy,
+    eigenvalues_from_bonds,
+)
 
 
 def dense_cartan_entries(family: str, l: int):
@@ -193,3 +210,54 @@ def faddeev_char_poly(entries) -> RationalPolynomial:
             columns = list(zip(*shifted))
             mk = [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
     return RationalPolynomial(tuple(reversed(coeffs_desc)))
+
+
+def row_order_sum(terms) -> float:
+    """((0 + t1) + t2) + ...: the terms added left to right, from the integer 0."""
+    return functools.reduce(operator.add, terms, 0)
+
+
+def column_perron(a) -> PerronVector:
+    """``perron_vector`` with one loop per column over that column's nonzero entries.
+
+    The same checks, the same errors and the same iteration: each column
+    sum is its nonzero products in row order, then + 2 v_j.
+    """
+    n = len(a)
+    rows = [[] for _ in range(n)]
+    cols = [[] for _ in range(n)]
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        for j, x in enumerate(map(_float, row)):
+            if not 0.0 <= x < math.inf:
+                raise ValueError("matrix entries must be finite and nonnegative")
+            if x:
+                rows[i].append(j)
+                cols[j].append((i, x))
+    reverse = [[i for i, _ in col] for col in cols]
+    if not n or any(sum(map(len, _levels(adj, 0))) < n for adj in (rows, reverse)):
+        raise ValueError("matrix is not irreducible: its nonzero pattern is not strongly connected")
+
+    def step(vec):
+        w = [row_order_sum(vec[i] * x for i, x in col) + 2.0 * vec[j] for j, col in enumerate(cols)]
+        top = max(w)
+        if not top < math.inf:
+            raise OverflowError("power iteration overflowed: a step's largest component is inf")
+        nxt = [x / top for x in w]
+        return nxt, max(map(abs, map(operator.sub, nxt, vec)))
+
+    u = [1.0] * n
+    for _ in range(_MAX_POWER_ITER):
+        u, delta = step(u)
+        if delta < POWER_DELTA_TOL:
+            break
+    else:
+        raise RuntimeError(f"power iteration did not converge in {_MAX_POWER_ITER} steps")
+    for _ in range(200):
+        nxt, nxt_delta = step(u)
+        if nxt_delta >= delta:
+            break
+        u, delta = nxt, nxt_delta
+    k = max(range(n), key=lambda i: u[i])
+    return PerronVector(tuple(u), row_order_sum(u[i] * x for i, x in cols[k]) / u[k])

@@ -256,6 +256,22 @@ def test_tolerance_not_finite_and_nonnegative_is_a_usage_error(command, value):
     assert "PASS" not in result.output and "particle" not in result.output
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "all-ade"],
+        ["verify", "all-ade", "--format", "csv"],
+        ["spectrum", "A3", "--format", "json"],
+        ["spectrum", "A3"],
+    ],
+    ids=" ".join,
+)
+def test_negative_zero_tolerance_prints_as_zero(command):
+    zero = run(*command, "--tolerance", "0")
+    assert run(*command, "--tolerance", "-0.0").output == zero.output
+    assert "-0.0" not in zero.output and "-0.000e+00" not in zero.output
+
+
 # ---------------------------------------------------------------------------
 # version
 # ---------------------------------------------------------------------------

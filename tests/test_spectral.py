@@ -3,10 +3,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dense, dense_eigenvalues
+from dense_reference import column_perron, dense, dense_eigenvalues, row_order_sum
 from toda_spectrum import classical, masses, spectral
 from toda_spectrum.exact_poly import RationalMatrix, char_poly_exact, refine_real_roots
 from toda_spectrum.masses import adjacency_eigen, mass_matrix_embedded, perron_components
@@ -529,11 +529,11 @@ def test_perron_rejects_reducible():
 
 
 def dense_perron(a):
-    """perron_vector's power iteration with a dense step: every product, zeros too."""
+    """perron_vector's power iteration with a dense step: every product, zeros too, in row order."""
     n = len(a)
 
     def step(vec):
-        w = [sum(vec[i] * a[i][j] for i in range(n)) + 2.0 * vec[j] for j in range(n)]
+        w = [row_order_sum(vec[i] * a[i][j] for i in range(n)) + 2.0 * vec[j] for j in range(n)]
         top = max(w)
         nxt = [x / top for x in w]
         return nxt, max(abs(x - y) for x, y in zip(nxt, vec))
@@ -547,7 +547,7 @@ def dense_perron(a):
             break
         u, delta = nxt, nxt_delta
     k = max(range(n), key=lambda i: u[i])
-    image = [sum(u[i] * a[i][j] for i in range(n)) for j in range(n)]
+    image = [row_order_sum(u[i] * a[i][j] for i in range(n)) for j in range(n)]
     scale = 1.0 / max(u)
     return PerronVector(tuple(x * scale for x in u), image[k] / u[k])
 
@@ -670,6 +670,80 @@ def test_perron_a31_closed_form():
     for j, got in enumerate(pv.components, start=1):
         assert abs(got - math.sin(j * math.pi / 32)) <= 1e-12
     assert abs(pv.eigenvalue - 2.0 * math.cos(math.pi / 32)) <= 1e-12
+
+
+def _closed_form_perron(family, n):
+    """The Perron vector of X_n by its closed form, before scaling to max 1, and h."""
+    if family == "A":
+        h = n + 1
+        return [math.sin(j * math.pi / h) for j in range(1, n + 1)], h
+    if family in "BC":
+        h = 2 * n
+        u = [math.sin(j * math.pi / h) for j in range(1, n + 1)]
+        if family == "C":
+            u[-1] = 0.5
+        return u, h
+    h = 2 * n - 2
+    return [math.sin(j * math.pi / h) for j in range(1, n - 1)] + [0.5, 0.5], h
+
+
+@pytest.mark.parametrize("name", [f"{f}{n}" for n in (19, 25, 31) for f in "ABCD"])
+def test_perron_closed_forms_at_the_top_ranks(name):
+    # A_n: sin(j pi/(n+1)); B_n: sin(j pi/2n); C_n: the same but u_n = 1/2;
+    # D_n: sin(j pi/(2n-2)) along the chain, 1/2 at both spinor nodes
+    pv = perron_vector(dynkin_adjacency(root_system(name).cartan))
+    want, h = _closed_form_perron(name[0], int(name[1:]))
+    top = max(want)
+    assert len(pv.components) == len(want)
+    for got, x in zip(pv.components, want):
+        assert abs(got - x / top) <= 1e-11 * (x / top)
+    lam = 2.0 * math.cos(math.pi / h)
+    assert abs(pv.eigenvalue - lam) <= 1e-11 * lam
+
+
+# the layouts the sweeps take apart: long chains with one or two layers, one
+# branch node (a layer of one column), the non-symmetric weights of B, C, F, G
+BIT_IDENTITY_ALGEBRAS = [f"{f}{n}" for n in (19, 25, 31) for f in "ABCD"] + [
+    "E6", "E7", "E8", "F4", "G2",
+]
+
+
+@pytest.mark.parametrize("name", BIT_IDENTITY_ALGEBRAS)
+def test_perron_is_bit_identical_to_the_column_loop(name):
+    a = dynkin_adjacency(root_system(name).cartan)
+    assert perron_vector(a) == column_perron(a)
+
+
+@st.composite
+def uneven_irreducible_matrices(draw, max_n=8):
+    """A cycle through every node, one column full and a few more entries: uneven degrees.
+
+    Weights are 1.0 half the time, so that unit and other entries share a
+    layer; n = 1 gives the zero and the positive 1 x 1 matrices.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    weights = st.one_of(st.just(1.0), st.floats(min_value=0.25, max_value=4.0))
+    if n == 1:
+        return [[draw(st.one_of(st.just(0.0), weights))]]
+    node = st.integers(min_value=0, max_value=n - 1)
+    m = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][(i + 1) % n] = draw(weights)
+    full = draw(node)
+    for i in range(n):
+        m[i][full] = draw(weights)
+    for i, j, x in draw(st.lists(st.tuples(node, node, weights), max_size=n)):
+        m[i][j] = x
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(uneven_irreducible_matrices())
+@example([[0.0]])
+@example([[2.5]])
+@example([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+def test_perron_is_bit_identical_to_the_column_loop_on_uneven_columns(a):
+    assert perron_vector(a) == column_perron(a)
 
 
 # ---------------------------------------------------------------------------
