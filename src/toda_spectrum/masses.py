@@ -21,11 +21,13 @@ polynomial can be computed with no floating point at all.
 Both routes list every spectrum's masses in ascending order, one rule for
 every algebra. The Perron components stay indexed by Dynkin node; the
 paper's node-labelled identities are read from them by ``toda verify
-e8-paper``. For simply-laced algebras the two routes agree index by index;
-for B, C, F and G both spectra are reported without asserting agreement.
-This module measures the agreement (``mass_ratio_spread``) and judges
-nothing: the simply-laced verdict and the identity checks live in
-:mod:`toda_spectrum.verify`.
+e8-paper``. For simply-laced algebras the two routes agree index by index.
+For B, C, F and G both spectra are reported and no verdict is given, but the
+agreement is measured: B2, C2, F4 and G2 agree at rounding level (spread
+2e-15 or less), while B_n and C_n from rank 3 do not (spread 2.0 at rank 3,
+falling to about 0.30 at rank 16). This module measures the agreement
+(``mass_ratio_spread``) and judges nothing: the simply-laced verdict and the
+identity checks live in :mod:`toda_spectrum.verify`.
 """
 
 from __future__ import annotations
@@ -127,9 +129,9 @@ def mass_matrix(algebra: AlgebraId | str) -> RationalMatrix:
     marks (n_0 = 1), the mass matrix equals L^T K L for the Cholesky factor L
     of the Gram matrix and K = sum n_j c_j c_j^T. It is therefore similar to
     K G, which is exact: K is an integer matrix (marks outer product plus the
-    diagonal of marks) and G the rational Gram matrix. G_ij = C_ij d_j is
-    filled from the Cartan bonds as integers over L, the lcm of the
-    symmetrizers' denominators, so no ``Fraction`` is read or built per entry.
+    diagonal of marks) and G the rational Gram matrix. G_ij = C_ij s_j / L is
+    filled from the Cartan bonds and :func:`_integer_symmetrizers`, so no
+    ``Fraction`` is read or built per entry, and the dense Gram table is not read.
     """
     rs = root_system(algebra)
     n = rs.rank
@@ -137,13 +139,18 @@ def mass_matrix(algebra: AlgebraId | str) -> RationalMatrix:
     k_rows = [[mi * mj for mj in marks] for mi in marks]
     for i, mi in enumerate(marks):
         k_rows[i][i] += mi
-    scale = math.lcm(*(d.denominator for d in rs.symmetrizers))
-    scaled = [d.numerator * (scale // d.denominator) for d in rs.symmetrizers]
+    scaled, scale = _integer_symmetrizers(rs)
     g_rows = [[0] * n for _ in range(n)]
     for g, bonds in zip(g_rows, rs.cartan.bonds):
         for j, c in bonds:
             g[j] = c * scaled[j]
     return RationalMatrix(k_rows) @ RationalMatrix(g_rows, scale)
+
+
+def _integer_symmetrizers(rs: RootSystem) -> tuple[list[int], int]:
+    """The symmetrizers as integers s over their lcm denominator L, so G_ij = C_ij s_j / L."""
+    scale = math.lcm(*(d.denominator for d in rs.symmetrizers))
+    return [d.numerator * (scale // d.denominator) for d in rs.symmetrizers], scale
 
 
 def mass_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:
@@ -161,7 +168,7 @@ def _mass_char_poly(aid: AlgebraId) -> RationalPolynomial:
 
 def adjacency_char_poly(algebra: AlgebraId | str) -> RationalPolynomial:
     """Exact characteristic polynomial of the Dynkin adjacency matrix 2I - C."""
-    return char_poly_exact(RationalMatrix.from_rows(dynkin_adjacency(root_system(algebra).cartan)))
+    return char_poly_exact(RationalMatrix(dynkin_adjacency(root_system(algebra).cartan)))
 
 
 def mass_matrix_embedded(algebra: AlgebraId | str) -> list[list[float]]:
@@ -190,23 +197,18 @@ Bonds = tuple[list[float], list[tuple[int, int, float]]]
 def _gram_entries(rs: RootSystem) -> list[tuple[int, int, float]]:
     """``(i, j, G_ij)`` for every nonzero Gram entry with i <= j, the diagonal included.
 
-    Read off the Cartan bonds, so a call reads O(n + bonds) ``Fraction``
-    entries rather than n^2. A root system shares its few distinct Gram
-    values (:func:`generate_roots`), so each distinct object goes through the
-    pure-Python ``Fraction.__float__`` once, not once per entry.
+    Read off the Cartan bonds in O(n + bonds), each entry C_ij s_j / L
+    over the integer symmetrizers (:func:`_integer_symmetrizers`). That is
+    one correctly rounded integer division, so it is ``float(C_ij * d_j)`` to
+    the bit, and no ``Fraction`` is read or made.
     """
-    as_float: dict[int, float] = {}  # by id: the shared Fraction objects
-    entries = []
-    for i, row in enumerate(rs.cartan.bonds):
-        gram_row = rs.gram[i]
-        for j, _ in row:
-            if i <= j:
-                x = gram_row[j]
-                g = as_float.get(id(x))
-                if g is None:
-                    g = as_float[id(x)] = float(x)
-                entries.append((i, j, g))
-    return entries
+    scaled, scale = _integer_symmetrizers(rs)
+    return [
+        (i, j, c * scaled[j] / scale)
+        for i, row in enumerate(rs.cartan.bonds)
+        for j, c in row
+        if i <= j
+    ]
 
 
 def _affine_bonds(rs: RootSystem) -> Bonds:
@@ -249,13 +251,10 @@ def _adjacency_bonds(rs: RootSystem) -> Bonds:
 
     Its diagonal is zero, and each bond is -G_ij / sqrt(d_i d_j).
     """
-    entries = _gram_entries(rs)
-    # sqrt(d_i), with d_i = G_ii / 2: halving a float is exact, so g / 2.0 is float(d_i)
-    d = [0.0] * rs.rank
-    for i, j, g in entries:
-        if i == j:
-            d[i] = math.sqrt(g / 2.0)
-    bonds = [(i, j, -g / (d[i] * d[j])) for i, j, g in entries if i < j]
+    scaled, scale = _integer_symmetrizers(rs)
+    # s_i / L is correctly rounded, so it is float(d_i)
+    d = [math.sqrt(s / scale) for s in scaled]
+    bonds = [(i, j, -g / (d[i] * d[j])) for i, j, g in _gram_entries(rs) if i < j]
     return [0.0] * rs.rank, bonds
 
 

@@ -5,17 +5,20 @@ vectors over the simple roots, inner products as rationals. Floating point
 enters only in :func:`embed_roots`, which realises roots as Euclidean vectors
 through a Cholesky factorisation of the Gram matrix.
 
-The spectra need only the Gram form and the marks, the coefficients of the
-highest root, so :func:`generate_roots` finds the highest root by one raising
-walk from a long simple root and builds no positive root set; the full set is
-closed only when :attr:`RootSystem.positive_roots` is first read. A
-:class:`RootSystem` is built from its Cartan matrix alone and carries no name.
+A :class:`RootSystem` is its Cartan matrix: ``cartan`` is its one field,
+and the symmetrizers, the Gram form, the marks (the coefficients of the
+highest root) and the Coxeter number are derived from it on first read, so
+no construction can disagree with its matrix. It carries no name. The marks
+come from one raising walk from a long simple root, and no positive root set
+is built for them; the full set is closed only when
+:attr:`RootSystem.positive_roots` is first read. The spectra read no dense
+Gram table: they take the Gram entries off the Cartan bonds and the
+symmetrizers (:mod:`toda_spectrum.masses`).
 
 A build reads each Cartan row once, at C speed, into the bond list of the
 Dynkin diagram. Everything after that (the entry checks, the tree, the exact
-pivots, the symmetrizers, the Gram form and the raising walk) is O(n + bonds)
-Python-level work, and the Gram form shares its few distinct ``Fraction``
-values, so a build makes O(1) of them.
+pivots, the symmetrizers and the raising walk) is O(n + bonds) Python-level
+work.
 
 Node numbering follows one fixed convention per family: chains are numbered
 left to right, and a branch node, where present, is attached last (node
@@ -256,24 +259,53 @@ def dynkin_adjacency(cartan: CartanMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 class RootSystem(Record):
-    """A root system given by its Cartan matrix, with marks and Coxeter number.
+    """The root system of a Cartan matrix, which is its one field.
 
-    ``symmetrizers[i]`` is half the squared length of simple root i;
-    ``gram[i][j]`` is the inner product of simple roots i, j. ``marks`` are the
-    coefficients of the highest root over the simple roots, so they are the
-    highest root itself, and the Coxeter number is one plus their sum. The
-    positive roots are built only when :attr:`positive_roots` is first read.
+    Everything else is a function of ``cartan``, computed on first read and
+    kept on the instance, so ``==``, ``hash``, ``repr`` and ``asdict`` see
+    the matrix alone. ``symmetrizers[i]`` is half the squared length of
+    simple root i; ``gram[i][j]`` is the inner product of simple roots i, j.
+    ``marks`` are the coefficients of the highest root over the simple roots,
+    so they are the highest root itself, and the Coxeter number is one plus
+    their sum.
     """
 
     cartan: CartanMatrix
-    symmetrizers: tuple[Fraction, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
-    marks: tuple[int, ...]
-    coxeter_number: int
 
     @property
     def rank(self) -> int:
         return self.cartan.rank
+
+    @functools.cached_property
+    def symmetrizers(self) -> tuple[Fraction, ...]:
+        """Per-node rational weights d making C_ij * d_j symmetric, scaled so max(d) = 1."""
+        cartan = self.cartan
+        d = [Fraction(1)] * cartan.rank
+        for i, p in cartan.tree_order[1:]:
+            # symmetry of the Gram form: C_pi d_i = C_ip d_p
+            cip, cpi = cartan.entries[i][p], cartan.entries[p][i]
+            d[i] = d[p] if cip == cpi else d[p] * Fraction(cip, cpi)
+        top = max(d)
+        return tuple(d) if top == 1 else tuple(x / top for x in d)
+
+    @functools.cached_property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense Gram matrix C_ij * d_j, set at the Cartan bonds over ``Fraction`` zeros."""
+        d = self.symmetrizers
+        rows = [[Fraction(0)] * self.rank for _ in d]
+        for g, bonds in zip(rows, self.cartan.bonds):
+            for j, c in bonds:
+                g[j] = c * d[j]
+        return tuple(map(tuple, rows))
+
+    @functools.cached_property
+    def marks(self) -> tuple[int, ...]:
+        """The highest root, by one raising walk from a long simple root (at most h - 2 steps)."""
+        return _raise_to_dominant(self.cartan.bonds, self.symmetrizers.index(1))
+
+    @property
+    def coxeter_number(self) -> int:
+        return 1 + sum(self.marks)
 
     @functools.cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
@@ -314,27 +346,6 @@ class RootSystem(Record):
         return tuple(sorted(seen, key=lambda c: (sum(c), c)))
 
 
-def _symmetrizers(cartan: CartanMatrix) -> tuple[list[Fraction], list[int]]:
-    """Per-node rational weights making C_ij * d_j symmetric, scaled so max(d) = 1.
-
-    Returned as the distinct weights and, per node, the index of its weight
-    in them: a simple bond passes its parent's weight on unchanged, so a new
-    ``Fraction`` is made only across a multiple bond, and the scaling divides
-    each distinct weight once.
-    """
-    values, of = [Fraction(1)], [0] * cartan.rank
-    for i, p in cartan.tree_order[1:]:
-        # symmetry of the Gram form: C_pi d_i = C_ip d_p
-        cip, cpi = cartan.entries[i][p], cartan.entries[p][i]
-        if cip == cpi:
-            of[i] = of[p]
-        else:
-            of[i] = len(values)
-            values.append(values[of[p]] * Fraction(cip, cpi))
-    top = max(values)
-    return ([x / top for x in values] if top != 1 else values), of
-
-
 def _raise_to_dominant(
     bonds: tuple[tuple[tuple[int, int], ...], ...], start: int
 ) -> tuple[int, ...]:
@@ -369,41 +380,8 @@ def _raise_to_dominant(
 
 
 def generate_roots(cartan: CartanMatrix) -> RootSystem:
-    """The root system of ``cartan``: symmetrizers, Gram form, marks and h.
-
-    The highest root comes from one raising walk (:func:`_raise_to_dominant`)
-    started at a long simple root; it takes at most h - 2 steps, and no
-    positive root set is built. The Gram matrix is filled from the nonzero
-    Cartan entries, all zeros sharing one ``Fraction``. A Gram entry
-    C_ij * d_j takes one value per pair (C_ij, weight of j), a handful in
-    all, so each is made once and shared: the build makes O(1) new
-    ``Fraction`` objects and does O(n + bonds) Python-level work beyond the
-    n zero-filled rows.
-    """
-    n = cartan.rank
-    values, of = _symmetrizers(cartan)
-    bonds = cartan.bonds
-    zero = Fraction(0)
-    # products[k][v] = v * values[k], made on first use
-    products: list[dict[int, Fraction]] = [{} for _ in values]
-    gram = []
-    for row in bonds:
-        g = [zero] * n
-        for j, v in row:
-            k = of[j]
-            x = products[k].get(v)
-            if x is None:
-                x = products[k][v] = v * values[k]
-            g[j] = x
-        gram.append(tuple(g))
-    marks = _raise_to_dominant(bonds, of.index(values.index(1)))
-    return RootSystem(
-        cartan=cartan,
-        symmetrizers=tuple(map(values.__getitem__, of)),
-        gram=tuple(gram),
-        marks=marks,
-        coxeter_number=1 + sum(marks),
-    )
+    """The root system of ``cartan``; its symmetrizers, Gram form and marks follow on first read."""
+    return RootSystem(cartan)
 
 
 def root_system(algebra: AlgebraId | str) -> RootSystem:

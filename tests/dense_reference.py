@@ -1,13 +1,13 @@
-"""Dense references: ``CartanMatrix`` validation, the ``generate_roots`` build, dense views
-and the Faddeev-LeVerrier characteristic polynomial.
+"""Dense references: ``CartanMatrix`` validation, the ``RootSystem`` derivations, dense
+views and the Faddeev-LeVerrier characteristic polynomial.
 
-``CartanMatrix`` checks its entries on the bond list, and ``generate_roots``
-shares one ``Fraction`` per distinct Gram value. The functions here do the
-same work the plain way: validation runs the same checks in the same order,
-each over all n^2 entries in row-major order, and the Gram build makes one
-``Fraction`` product per bond. The tests hold the library to them: the same
-exception and message for every input, and equal fields, of the same types,
-for every accepted one.
+``CartanMatrix`` checks its entries on the bond list, and a ``RootSystem``,
+which is its Cartan matrix, derives its Gram form from the bonds. The
+functions here do the same work the plain way: validation runs the same
+checks in the same order, each over all n^2 entries in row-major order, and
+the Gram form is one ``Fraction`` product per entry. The tests hold the
+library to them: the same exception and message for every input, and equal
+values, of the same types, for every accepted one.
 
 The library computes every spectrum from a diagonal and a bond list. Two
 helpers give the tests the dense n x n view of that input: ``dense`` fills
@@ -136,7 +136,11 @@ def dense_validate(entries) -> None:
 
 
 def dense_root_system(entries) -> dict:
-    """The fields of ``generate_roots(CartanMatrix(entries))``, one ``Fraction`` per entry."""
+    """What ``RootSystem(CartanMatrix(entries))`` derives from its one field, dense.
+
+    The symmetrizers, the Gram form with one ``Fraction`` per entry, the marks
+    and h, beside the matrix's own entries, bonds and tree order.
+    """
     dense_validate(entries)
     n = len(entries)
     order = dense_tree_order(entries)

@@ -420,9 +420,17 @@ def test_consistency_d4():
     assert mass_ratio_spread("D4") <= 1e-9
 
 
-def test_consistency_reports_without_asserting_for_b3():
-    # the spread is reported, not judged: the two routes genuinely disagree here
-    assert mass_ratio_spread("B3") > 0.1
+# The non-simply-laced spreads are measured, and `verify` judges none of them:
+# B2, C2, F4 and G2 agree at rounding level, B_n and C_n from rank 3 do not
+# (2.0 at rank 3, falling to about 0.30 at rank 16).
+@pytest.mark.parametrize("name", ["B2", "C2", "F4", "G2"])
+def test_consistency_non_simply_laced_agreeing(name):
+    assert mass_ratio_spread(name) <= verify.CONSISTENCY_TOL
+
+
+@pytest.mark.parametrize("name", [f"{f}{r}" for f in "BC" for r in range(3, 17)])
+def test_consistency_non_simply_laced_disagreeing(name):
+    assert mass_ratio_spread(name) > 0.1
 
 
 def test_consistency_error_is_consistency_specific():

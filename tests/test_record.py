@@ -103,22 +103,9 @@ CASES = [
     ),
     (
         RootSystem,
-        {
-            "cartan": A1_CARTAN,
-            "symmetrizers": (F(1),),
-            "gram": ((F(2),),),
-            "marks": (1,),
-            "coxeter_number": 2,
-        },
-        {
-            "cartan": A1_CARTAN,
-            "symmetrizers": (F(1),),
-            "gram": ((F(2),),),
-            "marks": (1,),
-            "coxeter_number": 3,
-        },
-        "RootSystem(cartan=CartanMatrix(entries=((2,),)), symmetrizers=(Fraction(1, 1),), "
-        "gram=((Fraction(2, 1),),), marks=(1,), coxeter_number=2)",
+        {"cartan": A1_CARTAN},
+        {"cartan": CartanMatrix(((2, -1), (-1, 2)))},
+        "RootSystem(cartan=CartanMatrix(entries=((2,),)))",
     ),
     (
         EigenDecomposition,
@@ -239,12 +226,22 @@ def test_cached_properties_are_computed_once_and_kept():
     assert cartan.tree_order is cartan.tree_order
     assert cartan.tree_order == ((0, -1), (1, 0), (2, 1))
     rs = generate_roots(cartan)
-    assert "positive_roots" not in vars(rs)
-    roots = rs.positive_roots
-    assert len(roots) == 6 and rs.positive_roots is roots
-    # the cached values sit outside the fields: equality and hash do not see them
-    fresh = RootSystem(rs.cartan, rs.symmetrizers, rs.gram, rs.marks, rs.coxeter_number)
+    derived = ("symmetrizers", "gram", "marks", "positive_roots")
+    assert not set(derived) & set(vars(rs))
+    for name in derived:
+        value = getattr(rs, name)
+        assert vars(rs)[name] is value and getattr(rs, name) is value
+    assert len(rs.positive_roots) == 6
+    assert rs.coxeter_number == 4 and "coxeter_number" not in vars(rs)
+    # the cached values sit outside the one field: equality, hash and asdict do not see them
+    fresh = RootSystem(rs.cartan)
     assert fresh == rs and hash(fresh) == hash(rs) and repr(fresh) == repr(rs)
+    assert asdict(fresh) == asdict(rs) == {"cartan": cartan}
+    # nothing derived can be given, so no root system disagrees with its matrix
+    with pytest.raises(TypeError):
+        RootSystem(cartan, rs.symmetrizers, rs.gram, (1, 1, 1), 99)
+    with pytest.raises(TypeError):
+        RootSystem(cartan=cartan, marks=(1, 1, 1))
 
 
 def test_import_loads_no_class_synthesis_and_no_typing():

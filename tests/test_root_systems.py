@@ -567,6 +567,8 @@ def test_spectra_never_build_the_positive_roots(name, kinds, monkeypatch):
     for kind in kinds:
         kind(name)
     assert lookups and set(lookups) == {aid}
+    # nor the dense Gram table: the spectra read the Gram entries off the bonds
+    assert "gram" not in vars(rs)
     assert "positive_roots" not in vars(rs)
     roots = rs.positive_roots
     assert roots == dense_positive_roots(rs.cartan)
