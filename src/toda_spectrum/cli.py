@@ -1,27 +1,26 @@
 """Command line interface: spectra, verification suites, and algebra data.
 
-The commands only parse arguments and lay out results: the checks behind
-``verify`` live in :mod:`toda_spectrum.verify`, and every command hands one
-:class:`Output` (a JSON object, CSV rows and table lines) to :func:`_write`,
-which prints the form ``--format`` asks for.
+One standard-library ``argparse`` parser, three subcommands. They only lay out
+results: the checks behind ``verify`` live in :mod:`toda_spectrum.verify`, and
+every command hands one :class:`Output` (a JSON object, CSV rows and table
+lines) to :func:`_write`, which prints the form ``--format`` asks for.
 
 Exit codes form a stable contract: 0 for success (all checks passed), 1 for a
-verification failure, 2 for usage errors. Data goes to stdout, diagnostics to
-stderr; identical invocations print identical bytes. Set NO_COLOR to strip the
-little ANSI styling the verify tables use on terminals.
+verification failure or a reader that closed stdout early, 2 for usage errors.
+Data goes to stdout, diagnostics to stderr; identical invocations print
+identical bytes. Set NO_COLOR to strip the ANSI styling of verify tables on terminals.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
-
-import click
+from collections.abc import Callable
 
 from . import __version__
 from . import verify as suites
@@ -36,12 +35,12 @@ from .masses import (
     spectrum_method1,
     spectrum_method2,
 )
-from .record import asdict
+from .record import Record, asdict
 from .root_systems import AlgebraId, InvalidAlgebraError, RootSystem, root_system
 from .spectral import recover_exponents
 
 
-class Output(NamedTuple):
+class Output(Record):
     """One result in every format: JSON object, CSV rows under an optional header, table lines."""
 
     data: dict
@@ -52,66 +51,49 @@ class Output(NamedTuple):
 
 
 def _write(out: Output, fmt: str) -> None:
+    # each print flushes, so a reader that stops early raises BrokenPipeError inside main()
     if fmt == "json":
-        click.echo(json.dumps(out.data, indent=out.indent, sort_keys=True))
+        print(json.dumps(out.data, indent=out.indent, sort_keys=True), flush=True)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if out.header:
             writer.writerow(out.header)
         writer.writerows(out.rows)
-        click.echo(buf.getvalue(), nl=False)
+        print(buf.getvalue(), end="", flush=True)
     else:
         for line in out.lines:
-            click.echo(line)
-
-
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "json", "csv"]),
-    default="table",
-    show_default=True,
-)
+            print(line, flush=True)
 
 
 def _algebra(text: str) -> AlgebraId:
     try:
         return AlgebraId.parse(text)
     except InvalidAlgebraError as exc:
-        raise click.UsageError(str(exc))
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _tolerance(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
-    """Reject a ``--tolerance`` that is negative, infinite or NaN, as a usage error.
-
-    ``-0.0`` passes the check and becomes ``0.0``, so that it prints as
-    ``--tolerance 0`` does.
-    """
-    if value is not None and not 0.0 <= value < math.inf:
-        raise click.BadParameter(f"{value} is not a finite nonnegative number")
-    return None if value is None else value + 0.0  # -0.0 + 0.0 is 0.0
+def _tolerance(text: str) -> float:
+    """A ``--tolerance`` that is not a finite nonnegative number is a usage error;
+    ``-0.0`` becomes ``0.0``, so that it prints as ``--tolerance 0`` does."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite nonnegative number")
+    return value + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _use_color() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-
-
 def _status(passed: bool) -> str:
     text = "PASS" if passed else "FAIL"
-    if _use_color():
-        return f"\033[92m{text}\033[0m" if passed else f"\033[91m{text}\033[0m"
-    return text
-
-
-@click.group()
-@click.version_option(__version__)
-def main() -> None:
-    """Mass spectra of two-dimensional affine Toda lattices for simple Lie algebras."""
+    if not sys.stdout.isatty() or os.environ.get("NO_COLOR"):
+        return text
+    return f"\033[92m{text}\033[0m" if passed else f"\033[91m{text}\033[0m"
 
 
 # ---------------------------------------------------------------------------
@@ -133,42 +115,14 @@ def _ratio_rows(spec: Spectrum, tolerance: float) -> list[dict]:
     return rows
 
 
-@main.command()
-@click.argument("algebra")
-@click.option(
-    "--method",
-    type=click.Choice(["pf", "massmatrix", "both"]),
-    default="both",
-    show_default=True,
-    help="Perron-Frobenius route, mass-matrix route, or both side by side.",
-)
-@click.option(
-    "--normalize",
-    type=click.Choice(["max", "first", "unit", "absolute"]),
-    default="max",
-    show_default=True,
-    help="max: heaviest mass = 1; first: lightest mass = 2 sin(pi/h); "
-    "unit: mass vector of norm 1; absolute: mass-matrix eigenvalue scale.",
-)
-@_format_option
-@click.option(
-    "--tolerance",
-    type=float,
-    default=1e-9,
-    show_default=True,
-    callback=_tolerance,
-    help="Relative window for flagging golden-ratio mass ratios.",
-)
-def spectrum(algebra: str, method: str, normalize: str, fmt: str, tolerance: float) -> None:
+def spectrum(aid: AlgebraId, method: str, normalize: str, fmt: str, tolerance: float) -> int:
     """Print particle masses and mass ratios for ALGEBRA (e.g. E8, A5, b3)."""
-    aid = _algebra(algebra)
     specs: dict[str, Spectrum] = {}
     if method in ("pf", "both"):
         specs["pf"] = spectrum_method1(aid).rescaled(normalize)
     if method in ("massmatrix", "both"):
         specs["massmatrix"] = spectrum_method2(aid).rescaled(normalize)
     primary = specs.get("pf", specs.get("massmatrix"))
-    assert primary is not None
     ratios = _ratio_rows(primary, tolerance)
     spread = mass_ratio_spread(aid) if method == "both" else None
     h = root_system(aid).coxeter_number
@@ -229,6 +183,7 @@ def spectrum(algebra: str, method: str, normalize: str, fmt: str, tolerance: flo
         lines.append(f"consistency spread across methods: {spread:.3e}")
 
     _write(Output(data, header, rows, lines, indent=2), fmt)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -236,27 +191,8 @@ def spectrum(algebra: str, method: str, normalize: str, fmt: str, tolerance: flo
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.argument("scope", type=click.Choice(list(suites.SUITES)))
-@_format_option
-@click.option(
-    "--tolerance",
-    type=float,
-    default=None,
-    callback=_tolerance,
-    help=(
-        "Judge every float check against this one tolerance; exact checks keep "
-        "tolerance 0 and their own verdict."
-    ),
-)
-def verify(scope: str, fmt: str, tolerance: float | None) -> None:
-    """Run a verification suite; exit code 0 only if every check passes.
-
-    e8-paper: the full E8 identity table (characteristic polynomials, Perron
-    components, golden ratios, closed forms). all-ade: cross-method agreement
-    for every simply-laced algebra of rank <= 8. exponents: recovered
-    exponents against the classical tables for every algebra of rank <= 8.
-    """
+def verify(scope: str, fmt: str, tolerance: float | None) -> int:
+    """Run a verification suite; exit code 0 only if every check passes."""
     report = suites.SUITES[scope]()
     if tolerance is not None:
         report = report.with_tolerance(tolerance)
@@ -268,22 +204,12 @@ def verify(scope: str, fmt: str, tolerance: float | None) -> None:
         f"tolerance {c.tolerance:>10.3e}  {_status(c.passed)}"
         for c in report
     ]
-    _write(
-        Output(
-            {
-                "scope": scope,
-                "all_passed": report.all_passed,
-                "checks": [asdict(c) for c in report],
-            },
-            ["name", "residual", "tolerance", "passed"],
-            [[c.name, f"{c.residual:.3e}", f"{c.tolerance:.3e}", c.passed] for c in report],
-            lines + [f"{passed}/{len(report)} checks passed"],
-            indent=2,
-        ),
-        fmt,
-    )
-    if not report.all_passed:
-        sys.exit(1)
+    lines.append(f"{passed}/{len(report)} checks passed")
+    data = {"scope": scope, "all_passed": report.all_passed, "checks": [asdict(c) for c in report]}
+    header = ["name", "residual", "tolerance", "passed"]
+    rows = [[c.name, f"{c.residual:.3e}", f"{c.tolerance:.3e}", c.passed] for c in report]
+    _write(Output(data, header, rows, lines, indent=2), fmt)
+    return 0 if report.all_passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +295,90 @@ INSPECT_TOPICS: dict[str, Callable[[AlgebraId, RootSystem], Output]] = {
 }
 
 
-@main.command()
-@click.argument("algebra")
-@click.argument("what", type=click.Choice(list(INSPECT_TOPICS)))
-@_format_option
-def inspect(algebra: str, what: str, fmt: str) -> None:
-    """Print algebra data: the Cartan matrix, positive roots, characteristic
-    polynomials of the adjacency (charpoly-a) or mass (charpoly-b) matrix,
-    the Dynkin diagram, or the exponents."""
-    aid = _algebra(algebra)
+def inspect(aid: AlgebraId, what: str, fmt: str) -> int:
+    """Print algebra data for ALGEBRA."""
     _write(INSPECT_TOPICS[what](aid, root_system(aid)), fmt)
+    return 0
+
+
+def _command(commands, run: Callable[..., int]) -> argparse.ArgumentParser:
+    doc = run.__doc__
+    sub = commands.add_parser(run.__name__, help=doc, description=doc, allow_abbrev=False)
+    sub.set_defaults(run=run)
+    return sub
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="toda", allow_abbrev=False,
+        description="Mass spectra of two-dimensional affine Toda lattices for simple Lie algebras.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    spec = _command(commands, spectrum)
+    spec.add_argument("aid", type=_algebra, metavar="ALGEBRA")
+    spec.add_argument(
+        "--method", choices=["pf", "massmatrix", "both"], default="both",
+        help="Perron-Frobenius route, mass-matrix route, or both side by side (default: both).",
+    )
+    spec.add_argument(
+        "--normalize", choices=["max", "first", "unit", "absolute"], default="max",
+        help="max: heaviest mass = 1; first: lightest mass = 2 sin(pi/h); unit: mass vector "
+        "of norm 1; absolute: mass-matrix eigenvalue scale (default: max).",
+    )
+    spec.add_argument("--format", dest="fmt", choices=["table", "json", "csv"], default="table")
+    spec.add_argument(
+        "--tolerance", type=_tolerance, default=1e-9, metavar="FLOAT",
+        help="Relative window for flagging golden-ratio mass ratios (default: 1e-09).",
+    )
+
+    ver = _command(commands, verify)
+    ver.add_argument(
+        "scope", choices=list(suites.SUITES),
+        help="e8-paper: the full E8 identity table (characteristic polynomials, Perron "
+        "components, golden ratios, closed forms). all-ade: cross-method agreement for "
+        "every simply-laced algebra of rank <= 8. exponents: recovered exponents against "
+        "the classical tables for every algebra of rank <= 8.",
+    )
+    ver.add_argument("--format", dest="fmt", choices=["table", "json", "csv"], default="table")
+    ver.add_argument(
+        "--tolerance", type=_tolerance, default=None, metavar="FLOAT",
+        help="Judge every float check against this one tolerance; exact checks keep "
+        "tolerance 0 and their own verdict.",
+    )
+
+    insp = _command(commands, inspect)
+    insp.add_argument("aid", type=_algebra, metavar="ALGEBRA")
+    insp.add_argument(
+        "what", choices=list(INSPECT_TOPICS),
+        help="the Cartan matrix, positive roots, characteristic polynomials of the adjacency "
+        "(charpoly-a) or mass (charpoly-b) matrix, the Dynkin diagram, or the exponents.",
+    )
+    insp.add_argument("--format", dest="fmt", choices=["table", "json", "csv"], default="table")
+    return parser
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Run one ``toda`` command: return 0, or pass a failure's code to ``sys.exit``,
+    as standalone mode (the console script) does with every code."""
+    try:
+        try:
+            args = vars(_parser().parse_args(argv))
+            code = args.pop("run")(**args)
+        except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help or --version
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: exit 1 with no traceback, and point
+        # stdout at devnull so that the flush at interpreter exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    if standalone_mode or code:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .record import Record
@@ -145,9 +145,8 @@ class RationalMatrix(Record):
     Entry (i, j) is ``rows[i][j] / denominator``. The constructor cancels the
     gcd of the denominator and every entry, which leaves the denominator at
     the lcm of the entries' reduced denominators: equal matrices have equal
-    fields, so ``==`` and ``hash`` are value equality. :meth:`from_rows`
-    takes ``int`` and ``Fraction`` entries, and :attr:`entries` gives them
-    back as ``Fraction`` rows when read.
+    fields, so ``==`` and ``hash`` are value equality. :attr:`entries` gives
+    the entries as ``Fraction`` rows when read.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -176,20 +175,6 @@ class RationalMatrix(Record):
             d //= g
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "denominator", d)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[RationalLike]]) -> "RationalMatrix":
-        """The matrix of these ``int`` or ``Fraction`` entries; ``TypeError`` on any other."""
-        rows = [tuple(row) for row in rows]
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if not isinstance(v, (int, Fraction)):
-                    raise TypeError(f"matrix entry ({i}, {j}) = {v!r} is not an int or a Fraction")
-        scale = math.lcm(*(v.denominator for row in rows for v in row))
-        return cls(
-            tuple(tuple([v.numerator * (scale // v.denominator) for v in row]) for row in rows),
-            scale,
-        )
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:

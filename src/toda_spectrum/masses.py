@@ -25,7 +25,13 @@ e8-paper``. For simply-laced algebras the two routes agree index by index.
 For B, C, F and G both spectra are reported and no verdict is given, but the
 agreement is measured: B2, C2, F4 and G2 agree at rounding level (spread
 2e-15 or less), while B_n and C_n from rank 3 do not (spread 2.0 at rank 3,
-falling to about 0.30 at rank 16). This module measures the agreement
+falling to about 0.30 at rank 16). One identity accounts for both. The Gram
+form G = C diag(d), d the symmetrizers, is symmetric, so when u is the left
+Perron vector of 2I - C, the products d_i u_i form that of 2I - C^T, the
+adjacency matrix of the Langlands dual algebra X^v; route 2's squared masses
+are those products squared. Route 1 of X is therefore route 2 of X^v: B_n
+and C_n swap, and B2 = C2, F4 and G2 (nodes reversed) are their own duals.
+This module measures the agreement
 (``mass_ratio_spread``) and judges nothing: the simply-laced verdict and the
 identity checks live in :mod:`toda_spectrum.verify`.
 """

@@ -16,6 +16,9 @@ the symmetric matrix of a diagonal and a bond list, as
 and ``dense_eigenvalues`` takes any square, finite, symmetric matrix to the
 library's solver, every nonzero entry above the diagonal as a bond.
 
+``from_rows`` builds a ``RationalMatrix`` from rows of ``int`` and
+``Fraction`` entries, over the lcm of their denominators.
+
 ``faddeev_char_poly`` is the characteristic polynomial by the
 Faddeev-LeVerrier recurrence, n - 1 matrix products, which the library used
 before it took the power sums from half the powers; the tests hold
@@ -36,7 +39,7 @@ import math
 import operator
 from fractions import Fraction
 
-from toda_spectrum.exact_poly import RationalPolynomial
+from toda_spectrum.exact_poly import RationalMatrix, RationalPolynomial
 from toda_spectrum.root_systems import InvalidAlgebraError, _raise_to_dominant
 from toda_spectrum.spectral import (
     _MAX_POWER_ITER,
@@ -187,6 +190,20 @@ def dense_eigenvalues(m):
     n = len(a)
     bonds = [(i, j, row[j]) for i, row in enumerate(a) for j in range(i + 1, n) if row[j]]
     return eigenvalues_from_bonds([a[i][i] for i in range(n)], bonds)
+
+
+def from_rows(rows) -> RationalMatrix:
+    """The matrix of these ``int`` or ``Fraction`` entries; ``TypeError`` on any other."""
+    rows = [tuple(row) for row in rows]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"matrix entry ({i}, {j}) = {v!r} is not an int or a Fraction")
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return RationalMatrix(
+        tuple(tuple([v.numerator * (scale // v.denominator) for v in row]) for row in rows),
+        scale,
+    )
 
 
 def faddeev_char_poly(entries) -> RationalPolynomial:

@@ -7,9 +7,9 @@ criterion; any assertion failure marks that criterion red.
 import math
 from fractions import Fraction
 
+from dense_reference import from_rows
 from toda_spectrum import classical
 from toda_spectrum.exact_poly import (
-    RationalMatrix,
     char_poly_exact,
     poly_divide_exact,
     refine_real_roots,
@@ -43,7 +43,7 @@ def _report(number: int, text: str) -> None:
 
 
 def test_criterion_01_adjacency_charpoly_exact():
-    poly = char_poly_exact(RationalMatrix.from_rows(dynkin_adjacency(root_system("E8").cartan)))
+    poly = char_poly_exact(from_rows(dynkin_adjacency(root_system("E8").cartan)))
     assert poly.coefficients == tuple(Fraction(c) for c in (1, 0, -8, 0, 14, 0, -7, 0, 1))
     _report(1, "E8 adjacency characteristic polynomial is x^8 - 7x^6 + 14x^4 - 8x^2 + 1, exactly")
 

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from dense_reference import faddeev_char_poly
+from dense_reference import faddeev_char_poly, from_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -69,7 +69,7 @@ def rational_matrices(n: int):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4).flatmap(rational_matrices))
 def test_char_poly_matches_cofactor_oracle(entries):
-    assert char_poly_exact(RationalMatrix.from_rows(entries)) == charpoly_oracle(entries)
+    assert char_poly_exact(from_rows(entries)) == charpoly_oracle(entries)
 
 
 def naive_matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -91,8 +91,8 @@ def naive_matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[
 @example(([[Fraction(-3, 4)]], [[Fraction(-2, 5)]]))
 def test_matmul_matches_naive_triple_sum(pair):
     a, b = pair
-    product = RationalMatrix.from_rows(a) @ RationalMatrix.from_rows(b)
-    assert product == RationalMatrix.from_rows(naive_matmul(a, b))
+    product = from_rows(a) @ from_rows(b)
+    assert product == from_rows(naive_matmul(a, b))
     assert all(isinstance(v, Fraction) for row in product.entries for v in row)
 
 
@@ -110,7 +110,7 @@ def jordan_block(n: int, eigenvalue: Fraction) -> list[list[Fraction | int]]:
 @example([[Fraction(2, 3) if i == j else 0 for j in range(7)] for i in range(7)])
 @example([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, Fraction(-1, 5)]])
 def test_char_poly_matches_faddeev_reference(entries):
-    assert char_poly_exact(RationalMatrix.from_rows(entries)) == faddeev_char_poly(entries)
+    assert char_poly_exact(from_rows(entries)) == faddeev_char_poly(entries)
 
 
 def test_char_poly_of_jordan_blocks_is_a_power():
@@ -119,7 +119,7 @@ def test_char_poly_of_jordan_blocks_is_a_power():
         expected = RationalPolynomial.of(1)
         for _ in range(n):
             expected = expected * (x - RationalPolynomial.of(eigenvalue))
-        assert char_poly_exact(RationalMatrix.from_rows(jordan_block(n, eigenvalue))) == expected
+        assert char_poly_exact(from_rows(jordan_block(n, eigenvalue))) == expected
 
 
 REFERENCE_ALGEBRAS = classical.all_algebras(16) + ["A31", "B31", "C31", "D31"]
@@ -130,7 +130,7 @@ def test_mass_and_adjacency_char_polys_match_faddeev_reference(name):
     mass = mass_matrix(name)
     assert char_poly_exact(mass) == faddeev_char_poly(mass.entries)
     adjacency = dynkin_adjacency(root_system(name).cartan)
-    assert char_poly_exact(RationalMatrix.from_rows(adjacency)) == faddeev_char_poly(adjacency)
+    assert char_poly_exact(from_rows(adjacency)) == faddeev_char_poly(adjacency)
 
 
 @pytest.mark.parametrize("name", classical.all_algebras(16))
@@ -142,18 +142,18 @@ def test_mass_matrix_is_marks_matrix_times_gram_in_fractions(name):
     expected = naive_matmul(k, [list(row) for row in rs.gram])
     product = mass_matrix(name)
     assert product.entries == tuple(map(tuple, expected))
-    assert product == RationalMatrix.from_rows(expected)
+    assert product == from_rows(expected)
 
 
 def test_matrix_is_integer_rows_over_the_least_common_denominator():
     half = Fraction(1, 2)
-    m = RationalMatrix.from_rows([[half, 1], [Fraction(-3, 4), 0]])
+    m = from_rows([[half, 1], [Fraction(-3, 4), 0]])
     assert (m.rows, m.denominator) == (((2, 4), (-3, 0)), 4)
     assert m.entries == ((half, Fraction(1)), (Fraction(-3, 4), Fraction(0)))
     scaled = RationalMatrix(((6, 12), (-9, 0)), 12)
     assert scaled == m and hash(scaled) == hash(m)
     assert (scaled.rows, scaled.denominator) == (m.rows, m.denominator)
-    assert RationalMatrix.from_rows([[True, False], [0, 1]]) == RationalMatrix(((1, 0), (0, 1)))
+    assert from_rows([[True, False], [0, 1]]) == RationalMatrix(((1, 0), (0, 1)))
     assert m.trace() == half
     for denominator in (0, -2):
         with pytest.raises(ValueError, match="positive"):
@@ -163,8 +163,8 @@ def test_matrix_is_integer_rows_over_the_least_common_denominator():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: RationalMatrix.from_rows([[0.1]]), r"entry \(0, 0\) = 0\.1 "),
-        (lambda: RationalMatrix.from_rows([[1, 2], [3, "1/3"]]), r"entry \(1, 1\) = '1/3' "),
+        (lambda: from_rows([[0.1]]), r"entry \(0, 0\) = 0\.1 "),
+        (lambda: from_rows([[1, 2], [3, "1/3"]]), r"entry \(1, 1\) = '1/3' "),
         (lambda: RationalMatrix(((1, 2), (Fraction(1, 2), 0))), r"entry \(1, 0\) = Fraction"),
         (lambda: RationalMatrix(((1,),), 0.5), r"denominator 0\.5 "),
         (lambda: RationalPolynomial.of(1, 0.1), r"coefficient 1 0\.1 "),
@@ -189,7 +189,7 @@ def test_inexact_input_is_a_type_error_naming_the_entry(build, message):
     ],
 )
 def test_foreign_operand_is_a_type_error(apply):
-    m = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    m = from_rows([[1, 2], [3, 4]])
     p = RationalPolynomial.of(1, 1)
     with pytest.raises(TypeError, match="unsupported operand"):
         apply(m, p)
@@ -203,7 +203,7 @@ def test_char_poly_matches_oracle_5x5():
         [-2, 0, 5, 1, 1],
         [0, 2, -1, 0, 2],
     ]
-    assert char_poly_exact(RationalMatrix.from_rows(entries)) == charpoly_oracle(entries)
+    assert char_poly_exact(from_rows(entries)) == charpoly_oracle(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +212,14 @@ def test_char_poly_matches_oracle_5x5():
 
 
 def test_char_poly_e8_adjacency():
-    a = RationalMatrix.from_rows(dynkin_adjacency(cartan_matrix(AlgebraId("E", 8))))
+    a = from_rows(dynkin_adjacency(cartan_matrix(AlgebraId("E", 8))))
     poly = char_poly_exact(a)
     assert poly.coefficients == tuple(Fraction(c) for c in E8_ADJACENCY_CHARPOLY)
     assert str(poly) == "x^8 - 7x^6 + 14x^4 - 8x^2 + 1"
 
 
 def test_char_poly_zero_matrix():
-    assert str(char_poly_exact(RationalMatrix.from_rows([[0, 0], [0, 0]]))) == "x^2"
+    assert str(char_poly_exact(from_rows([[0, 0], [0, 0]]))) == "x^2"
 
 
 def test_char_poly_e8_mass_carrier():
@@ -229,7 +229,7 @@ def test_char_poly_e8_mass_carrier():
 
 def test_char_poly_exact_at_diagonal_eigenvalues():
     diag = [Fraction(3, 2), Fraction(-7, 3), Fraction(0), Fraction(5)]
-    m = RationalMatrix.from_rows(
+    m = from_rows(
         [[diag[i] if i == j else Fraction(0) for j in range(4)] for i in range(4)]
     )
     poly = char_poly_exact(m)
@@ -297,7 +297,7 @@ def test_division_round_trip(p, d):
 
 
 def test_eval_adjacency_poly_at_top_eigenvalue():
-    a = RationalMatrix.from_rows(dynkin_adjacency(cartan_matrix(AlgebraId("E", 8))))
+    a = from_rows(dynkin_adjacency(cartan_matrix(AlgebraId("E", 8))))
     poly = char_poly_exact(a)
     assert abs(poly.evaluate(2.0 * math.cos(math.pi / 30))) < 1e-10
 

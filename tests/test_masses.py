@@ -433,6 +433,21 @@ def test_consistency_non_simply_laced_disagreeing(name):
     assert mass_ratio_spread(name) > 0.1
 
 
+# The reason for the spreads above. The Gram form G = C diag(d), d the
+# symmetrizers, is symmetric, so if u is the left Perron vector of 2I - C
+# (route 1's input), the products d_i u_i form the left Perron vector of
+# 2I - C^T, the adjacency matrix of the Langlands dual algebra (B_n <-> C_n;
+# F4 and G2 to themselves, nodes reversed). Route 2's squared masses are
+# those products squared, for every family: route 1 of X is route 2 of X^v.
+@pytest.mark.parametrize("name", classical.all_algebras(8) + ["B16", "C16"])
+def test_mass_squares_are_the_symmetrizer_weighted_perron_components(name):
+    aid = AlgebraId.of(name)
+    d = root_system(aid).symmetrizers
+    weighted = sorted(float(di) * ui for di, ui in zip(d, perron_components(aid)))
+    ratios = [m / (x * x) for m, x in zip(masses._mass_squares(aid), weighted)]
+    assert max(ratios) / min(ratios) - 1.0 <= verify.CONSISTENCY_TOL
+
+
 def test_consistency_error_is_consistency_specific():
     assert issubclass(ConsistencyError, RuntimeError)
 

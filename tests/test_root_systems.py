@@ -14,9 +14,10 @@ from dense_reference import (
     dense_eigenvalues,
     dense_root_system,
     dense_validate,
+    from_rows,
 )
 from toda_spectrum import classical, masses, root_systems
-from toda_spectrum.exact_poly import RationalMatrix, char_poly_exact
+from toda_spectrum.exact_poly import char_poly_exact
 from toda_spectrum.root_systems import (
     AlgebraId,
     CartanMatrix,
@@ -107,7 +108,7 @@ def test_dynkin_adjacency_reads_no_zero_from_the_entries(entries):
     adjacency = dynkin_adjacency(cartan)
     assert adjacency == dynkin_adjacency(a3)
     assert all(type(x) is int for row in adjacency for x in row)
-    poly = char_poly_exact(RationalMatrix.from_rows(adjacency))
+    poly = char_poly_exact(from_rows(adjacency))
     assert poly == masses.adjacency_char_poly("A3")
     assert perron_vector(adjacency) == perron_vector(dynkin_adjacency(a3))
 

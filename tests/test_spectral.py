@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import column_perron, dense, dense_eigenvalues, row_order_sum
+from dense_reference import column_perron, dense, dense_eigenvalues, from_rows, row_order_sum
 from toda_spectrum import classical, masses, spectral
-from toda_spectrum.exact_poly import RationalMatrix, char_poly_exact, refine_real_roots
+from toda_spectrum.exact_poly import char_poly_exact, refine_real_roots
 from toda_spectrum.masses import adjacency_eigen, mass_matrix_embedded, perron_components
 from toda_spectrum.root_systems import AlgebraId, cartan_matrix, dynkin_adjacency, root_system
 from toda_spectrum.spectral import (
@@ -787,7 +787,7 @@ def test_exponents_reject_out_of_range():
 def test_symmetrized_route_matches_exact_charpoly_roots(name):
     rs = root_system(name)
     route_one = sorted(jacobi_eigen(dense(*masses._adjacency_bonds(rs))).eigenvalues)
-    poly = char_poly_exact(RationalMatrix.from_rows(dynkin_adjacency(rs.cartan)))
+    poly = char_poly_exact(from_rows(dynkin_adjacency(rs.cartan)))
     route_two = sorted(refine_real_roots(poly, -2.5, 2.5))
     assert len(route_one) == len(route_two)
     for a, b in zip(route_one, route_two):
