@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .exact_poly import RationalMatrix, RationalPolynomial, char_poly_exact
@@ -114,7 +115,9 @@ class Spectrum(Record):
             scale = 2.0 * math.sin(math.pi / h) / min(absolute)
             fixed = "lightest mass = 2 sin(pi/h)"
         elif kind == "unit":
-            scale = 1.0 / math.sqrt(sum(m * m for m in absolute))
+            # added left to right, as ``sum`` did before Python 3.12 (from 3.12
+            # it compensates), so that every version prints the same digits
+            scale = 1.0 / math.sqrt(functools.reduce(operator.add, (m * m for m in absolute), 0.0))
             fixed = "Euclidean norm of the mass vector = 1"
         else:
             raise ValueError(f"unknown normalization {kind!r}")

@@ -13,10 +13,11 @@ with eigenvectors): it is the tests' eigenvector reference, and the
 benchmark's tracer wraps it by name. ``perron_vector`` takes finite,
 nonnegative, irreducible input, irreducibility decided exactly from the
 nonzero pattern, and non-convergence raises ``RuntimeError``. Its
-power-iteration step costs O(n + nonzeros) in a few C-level sweeps over
-whole lists: with the columns renumbered once by their count of nonzeros,
-one ``map`` sweep per layer (the k-th nonzero of every column that has one)
-and four more for the shift, the maximum, the division and the change. Each
+power iteration runs on I + A, which is primitive when A is irreducible,
+and each step costs O(n + nonzeros) in a few C-level sweeps over whole
+lists: with the columns renumbered once by their count of nonzeros, one
+``map`` sweep per layer (the k-th nonzero of every column that has one) and
+four more for the shift, the maximum, the division and the change. Each
 column is still summed in row order, then shifted, so the iterates are bit
 for bit those of a loop over the columns.
 """
@@ -352,9 +353,24 @@ def perron_vector(a: Matrix) -> PerronVector:
     reached from node 0 along the rows and along the columns (strong
     connectivity; Berman & Plemmons, *Nonnegative Matrices in the
     Mathematical Sciences*), so any 1 x 1 matrix passes. Otherwise
-    ``ValueError``. Power iteration runs on (a + 2I) acting on row vectors,
-    starting from all ones; the +2 shift keeps bipartite sign structure (top
-    eigenvalue pairs +/-) from stalling the iteration. It raises
+    ``ValueError``. Power iteration runs on I + a acting on row vectors,
+    starting from all ones. An irreducible ``a`` may have other eigenvalues
+    of modulus rho (a bipartite one has -rho), and power iteration on ``a``
+    itself would then not settle; I + a is primitive, (I + a)^(n - 1) > 0
+    (Horn & Johnson, *Matrix Analysis*, 8.5), so rho + 1 is its only
+    eigenvalue of largest modulus. With the shift sigma = 1, the error
+    shrinks each step by the largest |lambda + sigma| / (rho + sigma) over
+    the other eigenvalues lambda. A Dynkin adjacency matrix of rank 3 or
+    more has a real spectrum, symmetric about 0, whose second largest
+    eigenvalue is 0 <= lambda_2 < rho = 2 cos(pi/h) < 2, and the ratio is
+    then (lambda_2 + sigma) / (rho + sigma); it grows with sigma, and
+    sigma = 1 takes about 3/4 of the steps of sigma = 2. The shift does not
+    scale with ``a``: for a bipartite ``a`` the eigenvalue -rho gives
+    (rho - sigma) / (rho + sigma), which nears 1 as rho grows, and from rho
+    of about 130 the change between steps stays above ``POWER_DELTA_TOL``
+    at rounding level (E8's adjacency matrix times 70 raises
+    ``RuntimeError``; times 60 converges), so scale such an ``a`` down
+    first. It raises
     ``OverflowError`` at the first step whose largest component is not
     finite (entries near the float maximum; scale ``a`` down), and
     ``RuntimeError`` if it has not converged after ``_MAX_POWER_ITER``
@@ -365,9 +381,9 @@ def perron_vector(a: Matrix) -> PerronVector:
     of nonzeros, so that the k-th nonzero of every column, in row order,
     forms a prefix of the new order: layer k. A step is one ``map`` sweep
     per layer, adding vec[i] * a[i][j] into that prefix of the column sums,
-    then one sweep adding 2 vec[j], ``max``, one division sweep and one
+    then one sweep adding vec[j], ``max``, one division sweep and one
     sweep for the change; the vector is put back in node order once, at
-    the end. Each column sum is formed as ((0 + p1) + p2 + ...) + 2 vec[j],
+    the end. Each column sum is formed as ((0 + p1) + p2 + ...) + vec[j],
     its products in row order, on every Python version (``sum`` is not
     used: from Python 3.12 it compensates). Adding a zero product is exact,
     so this is also the sum over every row. The iterates, the step count
@@ -417,8 +433,7 @@ def perron_vector(a: Matrix) -> PerronVector:
         return w
 
     def step(vec: list[float]) -> tuple[list[float], float]:
-        # v + v is exactly 2.0 * v
-        w = list(map(operator.add, image(vec), map(operator.add, vec, vec)))
+        w = list(map(operator.add, image(vec), vec))
         top = max(w)
         if not top < math.inf:  # checked before the division, so finite steps are unchanged
             raise OverflowError("power iteration overflowed: a step's largest component is inf")

@@ -8,11 +8,13 @@ deliberate change of output is recorded in CHANGES.md together with a
 re-recorded snapshot.
 """
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 from cli_runner import invoke
+from dense_reference import column_perron
 
 from toda_spectrum import masses, verify
 from toda_spectrum.spectral import jacobi_eigen
@@ -55,7 +57,40 @@ RERECORDED_FOR_THE_AFFINE_ROUTE = [
     for alg, method in [("G2", "massmatrix"), ("G2", "both"), ("A1", "massmatrix")]
     for norm in ("max", "first", "unit", "absolute")
 ] + ["spectrum A1 --method both --normalize absolute --format json"]
+# The entries re-recorded when the Perron power iteration moved from 2I + A to
+# I + A: the route-1 floats, and the verify residuals read from them, moved in
+# their last digits. The test below holds them to the iteration on 2I + A.
+RERECORDED_FOR_THE_SHIFT = (
+    [
+        f"spectrum {alg} --method {method} --normalize {norm} --format {fmt}"
+        for alg, method, fmt in [
+            ("B3", "both", "json"),
+            ("E8", "both", "json"),
+            ("E8", "both", "table"),
+            ("E8", "pf", "json"),
+        ]
+        for norm in ("max", "first", "unit", "absolute")
+    ]
+    + [
+        f"verify {suite} --format {fmt}"
+        for suite in ("all-ade", "e8-paper")
+        for fmt in ("table", "json", "csv")
+    ]
+    + ["verify all-ade --format json --tolerance 1e-30", "verify e8-paper --tolerance 1e-30"]
+)
 BY_ARGS = {" ".join(c["args"]): c for c in GOLDEN}
+
+
+def _format(argv):
+    return argv[argv.index("--format") + 1] if "--format" in argv else "table"
+
+
+def _table_rows(stdout):
+    """(label, cells) for each particle row of a `spectrum` table."""
+    lines = stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("particle"))
+    rows = [line.split() for line in lines[start + 1 :] if line[:1].isdigit()]
+    return [(int(label), cells) for label, *cells in rows]
 
 
 def _verify_rows(stdout, fmt):
@@ -73,7 +108,7 @@ def _verify_rows(stdout, fmt):
 def test_rerecorded_entries_agree_with_a_jacobi_reference(args, monkeypatch):
     stdout = BY_ARGS[args]["stdout"]
     argv = args.split()
-    fmt = argv[argv.index("--format") + 1]
+    fmt = _format(argv)
     if argv[0] == "verify":
         rows = _verify_rows(stdout, fmt)
         assert len(rows) == 17
@@ -101,12 +136,55 @@ def test_rerecorded_entries_agree_with_a_jacobi_reference(args, monkeypatch):
                 assert abs(particle[name]["mass"] - want) <= 1e-12 * want
                 assert abs(particle[name]["mass_squared"] - want**2) <= 1e-12 * want**2
     else:  # the table prints 10 significant digits, mass and mass^2 per method
-        lines = stdout.splitlines()
-        start = next(i for i, line in enumerate(lines) if line.startswith("particle"))
-        rows = [line.split() for line in lines[start + 1 :] if line[:1].isdigit()]
+        rows = _table_rows(stdout)
         assert len(rows) == len(reference["pf"])
-        for label, *cells in rows:
+        for label, cells in rows:
             for k, name in enumerate(("massmatrix", "pf")):
-                want = reference[name][int(label) - 1]
+                want = reference[name][label - 1]
                 assert cells[2 * k] == f"{want:.10g}"
                 assert cells[2 * k + 1] == f"{want * want:.10g}"
+
+
+@pytest.fixture
+def perron_on_2i_plus_a(monkeypatch):
+    """Route 1 with the Perron vector of the power iteration on 2I + A."""
+    monkeypatch.setattr(masses, "perron_vector", functools.partial(column_perron, shift=2.0))
+    masses._perron_components.cache_clear()
+    yield
+    masses._perron_components.cache_clear()
+
+
+@pytest.mark.parametrize("args", RERECORDED_FOR_THE_SHIFT)
+def test_rerecorded_entries_agree_with_the_iteration_on_2i_plus_a(args, perron_on_2i_plus_a):
+    stdout = BY_ARGS[args]["stdout"]
+    argv = args.split()
+    fmt = _format(argv)
+    if argv[0] == "verify":
+        rows = _verify_rows(stdout, fmt)
+        reference = _verify_rows(invoke(*argv).stdout, fmt)
+        assert len(rows) == len(reference) > 0
+        for (residual, tolerance, passed), (want, *want_rest) in zip(rows, reference):
+            assert abs(residual - want) <= verify.CONSISTENCY_TOL
+            assert [tolerance, passed] == want_rest
+        return
+
+    alg, norm = argv[1], argv[argv.index("--normalize") + 1]
+    reference = {
+        "pf": masses.spectrum_method1(alg).rescaled(norm).masses,
+        "massmatrix": masses.spectrum_method2(alg).rescaled(norm).masses,
+    }
+    if fmt == "json":
+        data = json.loads(stdout)
+        for particle in data["particles"]:
+            for name in data["methods"]:
+                want = reference[name][particle["label"] - 1]
+                assert abs(particle[name]["mass"] - want) <= 1e-10 * want
+                assert abs(particle[name]["mass_squared"] - want**2) <= 1e-10 * want**2
+    else:  # 10 significant digits: 1e-10, plus at most half a unit in the last digit, 5e-10
+        rows = _table_rows(stdout)
+        assert len(rows) == len(reference["pf"])
+        for label, cells in rows:
+            for k, name in enumerate(("massmatrix", "pf")):
+                want = reference[name][label - 1]
+                assert abs(float(cells[2 * k]) - want) <= 6e-10 * want
+                assert abs(float(cells[2 * k + 1]) - want**2) <= 6e-10 * want**2

@@ -6,6 +6,7 @@ import pytest
 
 from dense_reference import dense, dense_eigenvalues
 from toda_spectrum import classical, masses, root_systems, spectral, verify
+from toda_spectrum.exact_poly import RationalPolynomial, poly_divide_exact
 from toda_spectrum.masses import (
     GOLDEN_RATIO,
     NULL_EIGENVALUE_TOL,
@@ -397,6 +398,19 @@ def test_rescaling_changes_only_global_factor():
     assert abs(min(base.rescaled("first").masses) - 2 * math.sin(math.pi / h)) <= 1e-12
 
 
+def test_unit_normalization_adds_the_squares_left_to_right():
+    # the squares of 0.1, 0.6 and 0.8 add to 1.0100000000000002 left to right
+    # and to 1.01 compensated (math.fsum, and sum from Python 3.12), and the
+    # two give different scales: the one the CLI prints must not depend on
+    # the Python version
+    masses_ = (0.1, 0.6, 0.8)
+    info = NormalizationInfo("absolute", "squared masses are mass-matrix eigenvalues", 1.0)
+    spec = Spectrum(AlgebraId("A", 3), masses_, (0.01, 0.36, 0.64), MassMethod.MASS_MATRIX, info)
+    want = 1.0 / math.sqrt((0.1 * 0.1 + 0.6 * 0.6) + 0.8 * 0.8)
+    assert want != 1.0 / math.sqrt(math.fsum(m * m for m in masses_))
+    assert spec.rescaled("unit").normalization.scale == want
+
+
 def test_rescaled_rejects_unknown_kind():
     with pytest.raises(ValueError):
         spectrum_method1("A2").rescaled("nope")
@@ -439,13 +453,63 @@ def test_consistency_non_simply_laced_disagreeing(name):
 # 2I - C^T, the adjacency matrix of the Langlands dual algebra (B_n <-> C_n;
 # F4 and G2 to themselves, nodes reversed). Route 2's squared masses are
 # those products squared, for every family: route 1 of X is route 2 of X^v.
-@pytest.mark.parametrize("name", classical.all_algebras(8) + ["B16", "C16"])
+@pytest.mark.parametrize("name", classical.all_algebras(8) + ["B16", "C16", "B31", "C31"])
 def test_mass_squares_are_the_symmetrizer_weighted_perron_components(name):
     aid = AlgebraId.of(name)
     d = root_system(aid).symmetrizers
     weighted = sorted(float(di) * ui for di, ui in zip(d, perron_components(aid)))
     ratios = [m / (x * x) for m, x in zip(masses._mass_squares(aid), weighted)]
     assert max(ratios) / min(ratios) - 1.0 <= verify.CONSISTENCY_TOL
+
+
+LANGLANDS_DUALS = [(f"B{n}", f"C{n}") for n in range(2, 32)] + [
+    (f"C{n}", f"B{n}") for n in range(2, 32)
+] + [("F4", "F4"), ("G2", "G2")]
+
+
+@pytest.mark.parametrize(("name", "dual"), LANGLANDS_DUALS)
+def test_route_one_is_route_two_of_the_langlands_dual(name, dual):
+    # one scale apart: route 1 fits it to the determinant of X's own mass matrix
+    ratios = [
+        m / p
+        for m, p in zip(
+            spectrum_method2(dual).mass_squares, spectrum_method1(name).mass_squares, strict=True
+        )
+    ]
+    assert max(ratios) / min(ratios) - 1.0 <= verify.CONSISTENCY_TOL
+
+
+# Folding a simply-laced diagram by a symmetry gives a non-simply-laced one,
+# and the folded mass spectrum is part of the unfolded one (Olive & Turok
+# 1983; Braden, Corrigan, Dorey & Sasaki 1990): exact divisions of route 2's
+# characteristic polynomials.
+X_MINUS_2 = RationalPolynomial.of(-2, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_folding_d_n_plus_1_to_b_n_leaves_the_mass_2(n):
+    quotient, remainder = poly_divide_exact(mass_char_poly(f"D{n + 1}"), mass_char_poly(f"B{n}"))
+    assert remainder.is_zero
+    assert quotient == X_MINUS_2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_folding_a_2n_minus_1_to_c_n_divides_exactly(n):
+    quotient, remainder = poly_divide_exact(mass_char_poly(f"A{2 * n - 1}"), mass_char_poly(f"C{n}"))
+    assert remainder.is_zero
+    assert quotient.degree == n - 1 and quotient.coefficients[-1] == 1
+    if n == 2:
+        assert quotient == X_MINUS_2
+
+
+@pytest.mark.parametrize(
+    ("unfolded", "folded", "quotient"),
+    [("E6", "F4", RationalPolynomial.of(6, -6, 1)), ("D4", "G2", RationalPolynomial.of(4, -4, 1))],
+)
+def test_folding_the_exceptional_diagrams(unfolded, folded, quotient):
+    got, remainder = poly_divide_exact(mass_char_poly(unfolded), mass_char_poly(folded))
+    assert remainder.is_zero
+    assert got == quotient
 
 
 def test_consistency_error_is_consistency_specific():

@@ -528,12 +528,16 @@ def test_perron_rejects_reducible():
         perron_vector([[1.0, 0.0], [0.0, 2.0]])
 
 
-def dense_perron(a):
-    """perron_vector's power iteration with a dense step: every product, zeros too, in row order."""
+def dense_perron(a, shift=1.0):
+    """perron_vector's power iteration on shift * I + a with a dense step.
+
+    Every product, zeros too, in row order; ``shift`` 1.0 is the one
+    perron_vector runs.
+    """
     n = len(a)
 
     def step(vec):
-        w = [row_order_sum(vec[i] * a[i][j] for i in range(n)) + 2.0 * vec[j] for j in range(n)]
+        w = [row_order_sum(vec[i] * a[i][j] for i in range(n)) + shift * vec[j] for j in range(n)]
         top = max(w)
         nxt = [x / top for x in w]
         return nxt, max(abs(x - y) for x, y in zip(nxt, vec))
@@ -657,7 +661,7 @@ def test_perron_overflow_raises_at_the_first_step_that_is_not_finite(a):
 
 
 def test_perron_non_convergence_is_a_runtime_error(monkeypatch):
-    # irreducible, but a + 2I has eigenvalues 2 +/- 1e-15, too close for power iteration
+    # irreducible, but I + a has eigenvalues 1 +/- 1e-15, too close for power iteration
     monkeypatch.setattr(spectral, "_MAX_POWER_ITER", 1000)
     with pytest.raises(RuntimeError, match="did not converge in 1000 steps"):
         perron_vector([[0.0, 1e-30], [1.0, 0.0]])
@@ -744,6 +748,18 @@ def uneven_irreducible_matrices(draw, max_n=8):
 @example([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 def test_perron_is_bit_identical_to_the_column_loop_on_uneven_columns(a):
     assert perron_vector(a) == column_perron(a)
+
+
+@pytest.mark.parametrize(
+    "name", classical.all_algebras(8) + [f"{f}{n}" for n in (16, 31) for f in "ABCD"]
+)
+def test_perron_agrees_with_the_iteration_on_2i_plus_a(name):
+    # the shift I + A replaced 2I + A: the same vector to well within 1e-10
+    a = dynkin_adjacency(root_system(name).cartan)
+    got, old = perron_vector(a), column_perron(a, shift=2.0)
+    for x, y in zip(got.components, old.components, strict=True):
+        assert abs(x - y) <= 1e-10 * y
+    assert abs(got.eigenvalue - old.eigenvalue) <= 1e-10 * old.eigenvalue
 
 
 # ---------------------------------------------------------------------------
