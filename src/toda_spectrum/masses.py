@@ -203,23 +203,6 @@ def mass_matrix_embedded(algebra: AlgebraId | str) -> list[list[float]]:
 Bonds = tuple[list[float], list[tuple[int, int, float]]]
 
 
-def _gram_entries(rs: RootSystem) -> list[tuple[int, int, float]]:
-    """``(i, j, G_ij)`` for every nonzero Gram entry with i <= j, the diagonal included.
-
-    Read off the Cartan bonds in O(n + bonds), each entry C_ij s_j / L
-    over the integer symmetrizers (:func:`_integer_symmetrizers`). That is
-    one correctly rounded integer division, so it is ``float(C_ij * d_j)`` to
-    the bit, and no ``Fraction`` is read or made.
-    """
-    scaled, scale = _integer_symmetrizers(rs)
-    return [
-        (i, j, c * scaled[j] / scale)
-        for i, row in enumerate(rs.cartan.bonds)
-        for j, c in row
-        if i <= j
-    ]
-
-
 def _affine_bonds(rs: RootSystem) -> Bonds:
     """Diagonal and bonds of the (n+1) x (n+1) matrix W^(1/2) G' W^(1/2).
 
@@ -231,10 +214,14 @@ def _affine_bonds(rs: RootSystem) -> Bonds:
     0, with eigenvector (1, sqrt(marks)), because the family weighted by
     (1, marks) sums to zero.
 
-    Built in O(n + bonds) from the nonzero Gram entries: G'_00 = 2, and
-    G'_0j = -sum_k marks_k G_kj = -p_j G_jj / 2, where the integer p_j is the
-    pairing of theta with coroot j, nonzero only where node 0 bonds. Each
-    bond ``(i, j, x)`` has i < j, as :func:`eigenvalues_from_bonds` takes it.
+    Built in O(n + bonds) from the nonzero Gram entries G_ij with i <= j:
+    G'_00 = 2, and G'_0j = -sum_k marks_k G_kj = -p_j G_jj / 2, where the
+    integer p_j is the pairing of theta with coroot j, nonzero only where
+    node 0 bonds. Each G_ij = C_ij s_j / L, read off the Cartan bonds over the
+    integer symmetrizers (:func:`_integer_symmetrizers`), is one correctly
+    rounded integer division, so it is ``float(C_ij * d_j)`` to the bit, and
+    no ``Fraction`` is read or made. Each bond ``(i, j, x)`` has i < j, as
+    :func:`eigenvalues_from_bonds` takes it.
     """
     n = rs.rank
     marks = rs.marks
@@ -242,28 +229,38 @@ def _affine_bonds(rs: RootSystem) -> Bonds:
     for k, row in enumerate(rs.cartan.bonds):
         for j, c in row:
             pairing[j] += marks[k] * c
+    scaled, scale = _integer_symmetrizers(rs)
     diagonal = [2.0] + [0.0] * n
     bonds = []
-    for i, j, g in _gram_entries(rs):
-        x = math.sqrt(marks[i] * marks[j]) * g
-        if i < j:
-            bonds.append((i + 1, j + 1, x))
-            continue
-        diagonal[i + 1] = x
-        if pairing[j]:
-            bonds.append((0, j + 1, -math.sqrt(marks[j]) * (pairing[j] * g / 2.0)))
+    for i, row in enumerate(rs.cartan.bonds):
+        for j, c in row:
+            if i > j:
+                continue
+            g = c * scaled[j] / scale
+            x = math.sqrt(marks[i] * marks[j]) * g
+            if i < j:
+                bonds.append((i + 1, j + 1, x))
+                continue
+            diagonal[i + 1] = x
+            if pairing[j]:
+                bonds.append((0, j + 1, -math.sqrt(marks[j]) * (pairing[j] * g / 2.0)))
     return diagonal, bonds
 
 
 def _adjacency_bonds(rs: RootSystem) -> Bonds:
     """Diagonal and bonds of the symmetric matrix similar to 2I - C.
 
-    Its diagonal is zero, and each bond is -G_ij / sqrt(d_i d_j).
+    Its diagonal is zero, and the bond of nodes i < j is sqrt(C_ij C_ji), 1,
+    sqrt 2 or sqrt 3 correctly rounded: the entry (i, j) of D^(-1/2) (2I - C)
+    D^(1/2), D the symmetrizers, since C_ij d_j = C_ji d_i.
     """
-    scaled, scale = _integer_symmetrizers(rs)
-    # s_i / L is correctly rounded, so it is float(d_i)
-    d = [math.sqrt(s / scale) for s in scaled]
-    bonds = [(i, j, -g / (d[i] * d[j])) for i, j, g in _gram_entries(rs) if i < j]
+    entries = rs.cartan.entries
+    bonds = [
+        (i, j, math.sqrt(c * entries[j][i]))
+        for i, row in enumerate(rs.cartan.bonds)
+        for j, c in row
+        if i < j
+    ]
     return [0.0] * rs.rank, bonds
 
 

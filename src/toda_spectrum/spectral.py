@@ -3,14 +3,14 @@ vectors by shifted power iteration, and algebra exponents from adjacency
 eigenvalues. Tolerances are fixed constants so repeated runs are bit-identical.
 
 Every algebra request enters ``eigenvalues_from_bonds`` with the diagonal
-and the bond list of its Dynkin matrix, and gets eigenvalues only. Reverse
-Cuthill-McKee turns a Dynkin matrix, affine or not, into a band of width
-b <= 3, Givens rotations reduce the band to tridiagonal form in O(n^2 b),
-implicit QL takes O(n^2), and the rest is O(n + bonds). Each solve is
-checked against sum(lambda) = tr M and sum(lambda^2) = ||M||_F^2. No algebra
-request runs the cyclic Jacobi solver ``jacobi_eigen`` (O(n^3) per sweep,
-with eigenvectors): it is the tests' eigenvector reference, and the
-benchmark's tracer wraps it by name. ``perron_vector`` takes finite,
+and the bond list of its Dynkin matrix, and gets eigenvalues only. Numbered
+in reversed breadth-first order from node 0, a Dynkin matrix, affine or
+not, is a band of width b <= 3; Givens rotations reduce the band to
+tridiagonal form in O(n^2 b), implicit QL takes O(n^2), and the rest is
+O(n + bonds). Each solve is checked against sum(lambda) = tr M and
+sum(lambda^2) = ||M||_F^2. No algebra request runs the cyclic Jacobi solver
+``jacobi_eigen`` (O(n^3) per sweep, with eigenvectors): it is the tests'
+eigenvector reference, and the benchmark's tracer wraps it by name. ``perron_vector`` takes finite,
 nonnegative, irreducible input, irreducibility decided exactly from the
 nonzero pattern, and non-convergence raises ``RuntimeError``. Its
 power iteration runs on I + A, which is primitive when A is irreducible,
@@ -103,10 +103,11 @@ def eigenvalues_from_bonds(
     """Eigenvalues, descending, of the symmetric matrix given by its diagonal and its bonds.
 
     Each bond ``(i, j, x)`` with i < j sets entries (i, j) and (j, i) to x and
-    names its pair once; every other off-diagonal entry is zero. Reverse
-    Cuthill-McKee renumbers the nodes, the band is reduced to tridiagonal
-    form, and implicit QL with Wilkinson shifts (EISPACK tql1) diagonalises
-    it. Outside the band reduction and QL, the work is O(n + bonds).
+    names its pair once; every other off-diagonal entry is zero. The nodes
+    are renumbered in reversed breadth-first order, the band is reduced to
+    tridiagonal form, and implicit QL with Wilkinson shifts (EISPACK tql1)
+    diagonalises it. Outside the band reduction and QL, the work is
+    O(n + bonds).
 
     Raises ``ValueError`` for a value that is not finite (an integer too
     large for a float included), or a bond that is not a pair i < j of the
@@ -134,7 +135,7 @@ def eigenvalues_from_bonds(
     top = max(map(abs, itertools.chain(diagonal, (x for _, _, x in bonds))), default=0.0)
     shift = math.frexp(top)[1]
     at = [0] * n
-    for k, node in enumerate(_reverse_cuthill_mckee(adj)):
+    for k, node in enumerate(_reversed_breadth_first(adj)):
         at[node] = k
     # the renumbered matrix, lower triangle only: row k holds columns 0..k
     a = [[0.0] * (k + 1) for k in range(n)]
@@ -155,28 +156,22 @@ def eigenvalues_from_bonds(
     return tuple(sorted((math.ldexp(x, shift) for x in eigenvalues), reverse=True))
 
 
-def _reverse_cuthill_mckee(adj: list[list[int]]) -> list[int]:
-    """An order of the nodes of a graph that keeps its bonds near the diagonal.
+def _reversed_breadth_first(adj: list[list[int]]) -> list[int]:
+    """The nodes of a graph in reversed breadth-first order.
 
-    ``adj[v]`` lists the neighbours of node v in ascending order, which fixes
-    the tie-breaks. Each component is numbered breadth first, unseen
-    neighbours by ascending degree, from a pseudo-peripheral node: while that
-    adds levels, restart from a least-degree node of the last level. The
-    order is then reversed (Cuthill & McKee 1969; George & Liu 1981). Each
-    neighbour list is sorted by degree once, stably, so ties stay ascending.
+    ``adj[v]`` lists the neighbours of node v in ascending order. Each
+    component is walked breadth first from its lowest node, and the whole
+    order is then reversed. A finite or affine Dynkin diagram, a tree or the
+    cycle of affine A_n, becomes a band of width at most 3 (2 but for affine
+    D4) from its lowest node, so no peripheral start is searched for.
     """
-    degree = [len(x) for x in adj].__getitem__
-    by_degree = [sorted(x, key=degree) for x in adj]
     order: list[int] = []
-    numbered: set[int] = set()
-    for start in sorted(range(len(adj)), key=degree):
-        if start not in numbered:
-            levels = _levels(by_degree, start)
-            while len(wider := _levels(by_degree, min(levels[-1], key=degree))) > len(levels):
-                levels = wider
-            component = [v for level in levels for v in level]
+    seen: set[int] = set()
+    for start in range(len(adj)):
+        if start not in seen:
+            component = [v for level in _levels(adj, start) for v in level]
             order += component
-            numbered.update(component)
+            seen.update(component)
     return order[::-1]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dense_reference import dense, dense_eigenvalues
+from dense_reference import dense, dense_cartan_entries, dense_eigenvalues
 from toda_spectrum import classical, masses, root_systems, spectral, verify
 from toda_spectrum.exact_poly import RationalPolynomial, poly_divide_exact
 from toda_spectrum.masses import (
@@ -175,22 +175,17 @@ def test_mass_squares_reject_a_wrong_null_space(eigenvalues, message, monkeypatc
         masses._mass_squares.__wrapped__(AlgebraId("A", 3))
 
 
-def _dense_adjacency(rs):
-    """The n^2 formula the adjacency bonds replaced: every Gram entry converted."""
-    d = [math.sqrt(float(x)) for x in rs.symmetrizers]
-    n = rs.rank
-    return [
-        [0.0 if i == j else -float(rs.gram[i][j]) / (d[i] * d[j]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 @pytest.mark.parametrize("name", MASS_ALGEBRAS)
-def test_sparse_adjacency_is_bit_identical_to_dense(name):
-    # float == is bit identity here: no entry is NaN, and a missing bond, -0.0
-    # in the dense formula, is now 0.0, which compares equal
-    rs = root_system(name)
-    assert dense(*masses._adjacency_bonds(rs)) == _dense_adjacency(rs)
+def test_adjacency_bonds_are_square_roots_of_cartan_products(name):
+    # the symmetrized 2I - C has sqrt(C_ij C_ji) at each bond: 1.0, sqrt(2) or
+    # sqrt(3), correctly rounded; the Cartan entries come from the dense table
+    c = dense_cartan_entries(name[0], int(name[1:]))
+    n = len(c)
+    want = [(i, j, math.sqrt(c[i][j] * c[j][i])) for i in range(n) for j in range(i + 1, n)]
+    diagonal, bonds = masses._adjacency_bonds(root_system(name))
+    assert diagonal == [0.0] * n
+    assert sorted(bonds) == [bond for bond in want if bond[2]]
+    assert {x for *_, x in bonds} <= {1.0, math.sqrt(2.0), math.sqrt(3.0)}
 
 
 # every algebra of rank <= 10, and A-D at ranks 19-31 and 64

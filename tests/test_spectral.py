@@ -117,14 +117,20 @@ def test_symmetric_eigenvalues_agree_with_jacobi_on_algebra_matrices(name):
             assert abs(x - y) <= 1e-13 * scale
 
 
-def test_a_series_adjacency_eigenvalues_are_closed_form():
-    for n in range(1, 65):
-        got = dense_eigenvalues(dense(*masses._adjacency_bonds(root_system(f"A{n}"))))
-        for k, x in enumerate(got, start=1):
-            assert abs(x - 2.0 * math.cos(k * math.pi / (n + 1))) <= 1e-14, (n, k)
+@pytest.mark.parametrize("family", "ABCDEFG")
+def test_adjacency_eigenvalues_are_closed_form(family):
+    # descending eigenvalues against the exponents m ascending, every rank to 64
+    lowest = {"A": 1, "B": 2, "C": 2, "D": 3}
+    ranks = {"E": (6, 7, 8), "F": (4,), "G": (2,)}.get(family) or range(lowest[family], 65)
+    for n in ranks:
+        name = f"{family}{n}"
+        h = root_system(name).coxeter_number
+        got = adjacency_eigen(name).eigenvalues
+        for m, x in zip(classical.exponents(family, n), got, strict=True):
+            assert abs(x - 2.0 * math.cos(m * math.pi / h)) <= 1e-14, (name, m)
 
 
-# graphs whose matrices reverse Cuthill-McKee turns into narrow bands:
+# sparse graphs beyond the Dynkin diagrams, for the band reduction:
 # name -> (node count, edges)
 BAND_GRAPHS = {
     "cycle-7": (7, [(i, (i + 1) % 7) for i in range(7)]),
@@ -139,8 +145,8 @@ BAND_GRAPHS = {
         [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 6) for i in range(6)],
     ),
     "ladder-16": (16, [(i, i + 1) for i in range(0, 15, 2)] + [(i, i + 2) for i in range(14)]),
-    # node 0, of least degree, hangs off the middle of a 2 x 12 ladder: started
-    # there, without the search for a pseudo-peripheral node, the band is 5 wide
+    # node 0 hangs off the middle of a 2 x 12 ladder: the breadth-first order
+    # starts there, and the band is 5 wide
     "ladder-with-tail": (
         25,
         [(i, i + 1) for i in range(1, 24, 2)] + [(i, i + 2) for i in range(1, 23)] + [(0, 13)],
@@ -191,7 +197,7 @@ def test_symmetric_eigenvalues_agree_with_jacobi_on_band_matrices(name, seed):
 
 def _ordered_bandwidth(m):
     adj = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(m)]
-    order = spectral._reverse_cuthill_mckee(adj)
+    order = spectral._reversed_breadth_first(adj)
     assert sorted(order) == list(range(len(m)))
     at = {node: k for k, node in enumerate(order)}
     return max(
@@ -200,7 +206,7 @@ def _ordered_bandwidth(m):
     )
 
 
-def test_reverse_cuthill_mckee_bandwidth_on_every_diagram_to_rank_64():
+def test_reversed_breadth_first_bandwidth_on_every_diagram_to_rank_64():
     lowest = {"A": 1, "B": 2, "C": 2, "D": 3}
     names = [f + str(r) for f, lo in lowest.items() for r in range(lo, 65)]
     names += ["E6", "E7", "E8", "F4", "G2"]
@@ -210,74 +216,6 @@ def test_reverse_cuthill_mckee_bandwidth_on_every_diagram_to_rank_64():
         affine = _ordered_bandwidth(dense(*masses._affine_bonds(rs)))
         assert plain <= 2, name
         assert affine <= (3 if name == "D4" else 2), name
-
-
-def _rcm_sorting_on_every_visit(adj):
-    """Reverse Cuthill-McKee with each visit sorting its neighbours by degree afresh."""
-    degree = [len(x) for x in adj].__getitem__
-
-    def levels(root):
-        out, seen = [[root]], {root}
-        while nxt := [w for v in out[-1] for w in sorted(adj[v], key=degree) if w not in seen]:
-            out.append(list(dict.fromkeys(nxt)))
-            seen.update(nxt)
-        return out
-
-    order, numbered = [], set()
-    for start in sorted(range(len(adj)), key=degree):
-        if start not in numbered:
-            found = levels(start)
-            while len(wider := levels(min(found[-1], key=degree))) > len(found):
-                found = wider
-            component = [v for level in found for v in level]
-            order += component
-            numbered.update(component)
-    return order[::-1]
-
-
-def _adjacency_lists(n, pairs):
-    adj = [[] for _ in range(n)]
-    for i, j in pairs:
-        adj[i].append(j)
-        adj[j].append(i)
-    return [sorted(x) for x in adj]
-
-
-def test_reverse_cuthill_mckee_order_unchanged_on_every_diagram_to_rank_64():
-    lowest = {"A": 1, "B": 2, "C": 2, "D": 3}
-    names = [f + str(r) for f, lo in lowest.items() for r in range(lo, 65)]
-    for name in names + ["E6", "E7", "E8", "F4", "G2"]:
-        rs = root_system(name)
-        for diagonal, bonds in (masses._adjacency_bonds(rs), masses._affine_bonds(rs)):
-            adj = _adjacency_lists(len(diagonal), [(i, j) for i, j, _ in bonds])
-            assert spectral._reverse_cuthill_mckee(adj) == _rcm_sorting_on_every_visit(adj), name
-
-
-@settings(max_examples=300)
-@given(
-    st.integers(1, 10).flatmap(
-        lambda n: st.tuples(
-            st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
-        )
-    )
-)
-def test_reverse_cuthill_mckee_order_unchanged_on_random_graphs(graph):
-    n, pairs = graph
-    adj = _adjacency_lists(n, {(min(p), max(p)) for p in pairs if p[0] != p[1]})
-    assert spectral._reverse_cuthill_mckee(adj) == _rcm_sorting_on_every_visit(adj)
-
-
-def test_reverse_cuthill_mckee_bandwidth_on_band_graphs():
-    widths = {name: _ordered_bandwidth(_band_matrix(name)) for name in BAND_GRAPHS}
-    assert widths == {
-        "cycle-7": 2,
-        "cycle-24": 2,
-        "forked-path-14": 2,
-        "d4-star": 3,
-        "two-cycles": 2,
-        "ladder-16": 2,
-        "ladder-with-tail": 3,
-    }
 
 
 @st.composite
@@ -365,7 +303,7 @@ def test_symmetric_eigenvalues_reject_asymmetric_and_non_square(bad):
 
 @pytest.mark.parametrize("name", BAND_GRAPHS)
 def test_eigenvalues_from_bonds_do_not_depend_on_the_bond_order(name):
-    # the neighbour lists are sorted, so reverse Cuthill-McKee breaks ties alike
+    # the neighbour lists are sorted, so every bond order gives one numbering
     m = _band_matrix(name)
     n = len(m)
     bonds = [(i, j, m[i][j]) for i in range(n) for j in range(i + 1, n) if m[i][j]]
@@ -767,7 +705,9 @@ def test_perron_agrees_with_the_iteration_on_2i_plus_a(name):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ALL_ALGEBRAS)
+@pytest.mark.parametrize(
+    "name", ALL_ALGEBRAS + [f + str(r) for f in "ABCD" for r in (19, 25, 31, 64)]
+)
 def test_exponents_match_classical_tables(name):
     rs = root_system(name)
     eig = adjacency_eigen(name)
