@@ -1,20 +1,21 @@
 """Nested square-root closed forms, evaluated straight from their text.
 
-A closed form is written in a tiny textual grammar: integers, ``sqrt(...)``,
-``+``, ``-``, ``*``, ``/`` and parentheses, where ``/`` divides only by a
-value free of square roots. Every closed form this package verifies is kept
-as such text.
+A closed form is written in Python's expression syntax restricted to decimal
+integer literals, unary minus, ``+ - * /`` and ``sqrt(x)``, where ``/``
+divides only by a value free of square roots. Every closed form this package
+verifies is kept as such text.
 
-:func:`eval_radical` evaluates the text as it parses it. Every ``+ - * /``
-and every square root runs in the standard library's decimal arithmetic at 40
-significant digits, in one fixed context, and the result is rounded once to
-the nearest double, so it is the same on every platform.
+:func:`eval_radical` has Python's own parser read the text and evaluates the
+tree it builds. Every ``+ - * /`` and every square root runs in the standard
+library's decimal arithmetic at 40 significant digits, in one fixed context,
+and the result is rounded once to the nearest double, so it is the same on
+every platform.
 """
 
 from __future__ import annotations
 
+import _ast  # the builtin node types; the ast module would add its own import to every command
 import math
-import re
 from decimal import Context, Decimal
 
 from .report import CheckReport, CheckResult, check
@@ -33,93 +34,76 @@ class NegativeRadicandError(ValueError):
 # 40 significant digits leave a wide margin over the 17 that a double holds.
 _CONTEXT = Context(prec=40)
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(sqrt)|([()+\-*/]))")
+_BINARY = {
+    _ast.Add: _CONTEXT.add,
+    _ast.Sub: _CONTEXT.subtract,
+    _ast.Mult: _CONTEXT.multiply,
+    _ast.Div: _CONTEXT.divide,
+}
 
 
 def eval_radical(text: str) -> float:
-    """Evaluate a closed form written in the textual grammar; return the nearest double.
+    """Evaluate a closed form; return the nearest double.
 
-    expr := term (("+" | "-") term)*,  term := factor (("*" | "/") factor)*,
-    factor := "-" factor | "(" expr ")" | "sqrt" "(" expr ")" | integer.
+    The text, stripped of leading and trailing whitespace, is Python's
+    expression syntax restricted to integer literals in decimal digits (not
+    ``0x10``, ``1_0``, ``05`` or ``True``), unary minus, ``+ - * /`` and
+    ``sqrt(x)`` of one positional argument, which bind as in Python.
 
-    Raises ValueError on bad syntax, on division by zero or by a value that
+    Raises ValueError on any other syntax, on a tree too deep for the
+    interpreter's recursion limit, on division by zero or by a value that
     holds a square root, and NegativeRadicandError, naming the radicand's
     text, when a square root's argument is negative.
     """
-    # each match eats the whitespace before a token, so drop what trails the last
-    text = text.rstrip()
-    spans: list[tuple[int, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"bad radical syntax at {text[pos:]!r}")
-        pos = m.end()
-        spans.append((m.start(m.lastindex), pos))
-    tokens = [text[a:b] for a, b in spans] + [None]
-    i = 0
-
-    def take(expected: str | None = None) -> str:
-        nonlocal i
-        tok = tokens[i]
-        if tok is None or (expected is not None and tok != expected):
-            want = repr(expected) if expected else "a term"
-            found = repr(tok) if tok else "the end of the text"
-            raise ValueError(f"expected {want}, found {found}")
-        i += 1
-        return tok
-
-    # each rule returns (value, whether the value is free of square roots)
-    def expr() -> tuple[Decimal, bool]:
-        value, rational = term()
-        while tokens[i] in ("+", "-"):
-            op = _CONTEXT.add if take() == "+" else _CONTEXT.subtract
-            rhs, rhs_rational = term()
-            value, rational = op(value, rhs), rational and rhs_rational
-        return value, rational
-
-    def term() -> tuple[Decimal, bool]:
-        value, rational = factor()
-        while tokens[i] in ("*", "/"):
-            op = take()
-            rhs, rhs_rational = factor()
-            if op == "*":
-                value = _CONTEXT.multiply(value, rhs)
-            elif not rhs_rational:
-                raise ValueError("division is only supported by rational values")
-            elif not rhs:
-                raise ValueError("division by zero")
-            else:
-                value = _CONTEXT.divide(value, rhs)
-            rational = rational and rhs_rational
-        return value, rational
-
-    def factor() -> tuple[Decimal, bool]:
-        tok = take()
-        if tok == "-":
-            value, rational = factor()
-            return _CONTEXT.minus(value), rational
-        if tok == "(":
-            node = expr()
-            take(")")
-            return node
-        if tok == "sqrt":
-            take("(")
-            first = i
-            value, _ = expr()
-            take(")")
-            if value < 0:
-                radicand = text[spans[first][0] : spans[i - 2][1]]
-                raise NegativeRadicandError(radicand, float(value))
-            return _CONTEXT.sqrt(value), False
-        if tok.isdigit():
-            return Decimal(tok), True
-        raise ValueError(f"unexpected token {tok!r}")
-
-    value, _ = expr()
-    if tokens[i] is not None:
-        raise ValueError(f"trailing tokens starting at {tokens[i]!r}")
+    source = text.strip()
+    try:
+        value, _ = _evaluate(compile(source, "<radical>", "eval", _ast.PyCF_ONLY_AST).body, source)
+    except SyntaxError as err:
+        raise ValueError(f"bad radical syntax: {err.msg}") from None
+    except RecursionError:  # a tree deeper than the interpreter's stack, as a sum of 1000 terms
+        raise ValueError("closed form nested too deeply to evaluate") from None
     return float(value)
+
+
+def _evaluate(node: _ast.expr, source: str) -> tuple[Decimal, bool]:
+    """The value of ``node``, and whether that value is free of square roots."""
+    kind = type(node)
+    if kind is _ast.BinOp and (op := type(node.op)) in _BINARY:
+        value, rational = _evaluate(node.left, source)
+        rhs, rhs_rational = _evaluate(node.right, source)
+        if op is _ast.Div:
+            if not rhs_rational:
+                raise ValueError("division is only supported by rational values")
+            if not rhs:
+                raise ValueError("division by zero")
+        return _BINARY[op](value, rhs), rational and rhs_rational
+    if kind is _ast.Constant and type(node.value) is int:
+        # the literal's own width: 0x10, 1_0 and 00 are wider than their value
+        if node.end_col_offset - node.col_offset == len(str(node.value)):
+            return Decimal(node.value), True
+    elif kind is _ast.Call:
+        func, args = node.func, node.args
+        if type(func) is _ast.Name and func.id == "sqrt" and len(args) == 1 and not node.keywords:
+            value, _ = _evaluate(args[0], source)
+            if value < 0:
+                raise NegativeRadicandError(_source_text(source, args[0]), float(value))
+            return _CONTEXT.sqrt(value), False
+    elif kind is _ast.UnaryOp and type(node.op) is _ast.USub:
+        value, rational = _evaluate(node.operand, source)
+        return _CONTEXT.minus(value), rational
+    raise ValueError(f"not allowed in a closed form: {_source_text(source, node)!r}")
+
+
+def _source_text(source: str, node: _ast.expr) -> str:
+    """The text of ``node`` in ``source``, whose newlines the parser read as "\\n".
+
+    A node's lines count from 1 and its columns are UTF-8 byte offsets.
+    """
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").encode().split(b"\n")
+    lines = lines[node.lineno - 1 : node.end_lineno]
+    lines[-1] = lines[-1][: node.end_col_offset]
+    lines[0] = lines[0][node.col_offset :]
+    return b"\n".join(lines).decode()
 
 
 # ---------------------------------------------------------------------------

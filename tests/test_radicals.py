@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import mpmath
 import pytest
@@ -125,10 +126,20 @@ def test_cancelling_radicand_is_zero_to_working_precision(radicand):
         assert eval_radical(f"sqrt({radicand})") == pytest.approx(math.sqrt(residue), rel=1e-15)
 
 
-def test_negative_radicand_names_subtree():
+@pytest.mark.parametrize(
+    "text, radicand",
+    [
+        ("sqrt(3 - 7)", "3 - 7"),
+        ("sqrt(2*(3 - 7))", "2*(3 - 7)"),
+        ("1 + sqrt(2*(3 -\n   7))", "2*(3 -\n   7)"),
+        ("sqrt(5 - sqrt(\n 100)) + 1", "5 - sqrt(\n 100)"),
+    ],
+)
+def test_negative_radicand_names_subtree(text, radicand):
     with pytest.raises(NegativeRadicandError) as exc:
-        eval_radical("sqrt(3 - 7)")
-    assert "3 - 7" in str(exc.value)
+        eval_radical(text)
+    assert exc.value.radicand == radicand
+    assert f"sqrt({radicand})" in str(exc.value)
 
 
 @settings(max_examples=80, deadline=None)
@@ -175,7 +186,27 @@ def test_parse_ignores_leading_and_trailing_whitespace(text, plain):
     assert eval_radical(text) == eval_radical(plain)
 
 
-@pytest.mark.parametrize("bad", ["sqrt(", "1 +", "(2", "sqrt 5", "2.5", "x + 1", "1/sqrt(2)"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "sqrt(", "1 +", "(2", "sqrt 5", "2.5", "x + 1", "1/sqrt(2)",
+        # Python syntax outside the grammar
+        "0x10", "1_0", "1e3", "+5", "2**3", "5 % 2", "7 // 2", "True", "abs(4)",
+        "sqrt(1, 2)", "sqrt(x=4)", "(1, 2)", "sqrt",
+        # leading zeros and non-ASCII digits, which Python's grammar rejects
+        "05", "00", "\u0661",
+        # deeper than the interpreter's recursion limit
+        pytest.param("+".join(["1"] * 5000), id="a sum of 5000 terms"),
+        # longer than the default limit on converting integers from text
+        pytest.param(
+            "1" * 4301,
+            id="a literal of 4301 digits",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no such limit before 3.10.7"
+            ),
+        ),
+    ],
+)
 def test_parse_rejects_bad_syntax(bad):
     with pytest.raises(ValueError):
         eval_radical(bad)

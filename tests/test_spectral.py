@@ -605,6 +605,20 @@ def test_perron_non_convergence_is_a_runtime_error(monkeypatch):
         perron_vector([[0.0, 1e-30], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize(
+    "a, components",
+    [([[0.0, 1e6], [1e-6, 0.0]], (1e-6, 1.0)), ([[0.0, 1e-6], [1e6, 0.0]], (1.0, 1e-6))],
+    ids=str,
+)
+def test_perron_lopsided_bipartite_input_converges(a, components):
+    # rho = 1 while a column sums to 1e6: a shift scaled by the largest column
+    # sum would stall on the eigenvalue -1; I + a has eigenvalues 2 and 0
+    pv = perron_vector(a)
+    for x, y in zip(pv.components, components, strict=True):
+        assert abs(x - y) <= 1e-12 * y
+    assert abs(pv.eigenvalue - 1.0) <= 1e-12
+
+
 def test_perron_a31_closed_form():
     # A_n: component j of the Perron vector is sin(j pi / (n + 1)), max 1 at the middle
     a = [[float(v) for v in row] for row in dynkin_adjacency(cartan_matrix(AlgebraId("A", 31)))]
